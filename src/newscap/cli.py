@@ -43,7 +43,6 @@ def _write_manifest(out_dir, command, config, inputs):
         "command": command,
         "config": config,
         "inputs": {p: _sha256_file(p) for p in inputs if os.path.exists(p)},
-        "threads": os.environ.get("NEWSCAP_THREADS", "1"),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -198,6 +197,13 @@ def cmd_train(args):
         raise InputError(f"validation set not found: {args.val}")
     val_samples = corpus.load_processed(args.val)
     cfg = _resolved_train_config(args, vocab)
+    need = max([cfg.max_decode_len] + [
+        max(len(s.article_ids), len(s.caption_ids) - 1)
+        for s in train_samples + val_samples])
+    if need > cfg.model.max_pos:
+        raise InputError(
+            f"model.max_pos {cfg.model.max_pos} is below the {need} positions "
+            "the longest article, caption or max_decode_len needs")
     log_path = os.path.join(out, "train_log.jsonl")
     ckpt_path = os.path.join(out, "checkpoint.bin")
     with open(log_path, "w", encoding="utf-8") as log_fh:
@@ -206,8 +212,11 @@ def cmd_train(args):
     runtime.save_checkpoint(best, ckpt_path)
     _write_manifest(out, "train", cfg.to_dict(),
                     [args.processed, args.val, args.vocab])
-    print(f"best val CIDEr {best.best_val_cider:.4f} at epoch {best.epoch}; "
-          f"wrote {ckpt_path}")
+    if best.best_val_cider is None:
+        print(f"no validation ran; kept epoch {best.epoch}; wrote {ckpt_path}")
+    else:
+        print(f"best val CIDEr {best.best_val_cider:.4f} at epoch "
+              f"{best.epoch}; wrote {ckpt_path}")
     return 0
 
 
@@ -253,9 +262,6 @@ def cmd_evaluate(args):
 
 
 def cmd_gradcheck(args):
-    if not args.fp64:
-        print("warning: gradient checks are only meaningful in 64-bit mode; "
-              "running in 64-bit anyway")
     result = model_grad_check(tol=args.tol)
     print(f"evaluation seed {result.seed} "
           f"(skipped ill-conditioned: {result.skipped_seeds})")
@@ -328,7 +334,6 @@ def build_parser():
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     add_common(p)
-    p.add_argument("--fp64", action="store_true", default=True)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(fn=cmd_gradcheck)
 

@@ -16,17 +16,11 @@ from . import tensor as T
 from .corpus import EntityMention, ProcessedSample, Vocabulary
 from .model import CaptionModel, ModelConfig
 
-PARAM_GROUPS = [
-    ("embeddings", ("emb/word", "emb/pos")),
-    ("position_lstm", ("emb/lstm/",)),
-    ("image_projection", ("img/",)),
-    ("encoder_self_aoa", ("enc/", "/self/")),
-    ("visual_selective", ("enc/", "/vs/")),
-    ("masked_self_aoa", ("dec/", "/self/")),
-    ("multimodal_aoa", ("dec/", "/img/", "/art/", "/ent/")),
-    ("fusion_ffn", ("dec/", "/ffn/", "/ln", "out/")),
-    ("pointer_gates", ("ptr/",)),
-]
+PARAM_GROUPS = (
+    "embeddings", "position_lstm", "image_projection", "encoder_self_aoa",
+    "visual_selective", "masked_self_aoa", "multimodal_aoa", "fusion_ffn",
+    "pointer_gates",
+)
 
 
 def group_of(name):

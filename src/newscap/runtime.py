@@ -184,91 +184,92 @@ def load_checkpoint(path):
 # Decoding
 
 
-def greedy_decode(model, contexts, max_len=31):
-    """Argmax decoding; ties break toward the lowest token id."""
-    bos, eos = model.vocab.bos_id, model.vocab.eos_id
-    prefix = [bos]
-    out = []
-    with T.no_grad():
-        # parameters are fixed during decoding, so position embeddings
-        # for all prefix lengths can be computed once
-        cache = {"min_len": max_len}
-        for _ in range(max_len):
-            dist = model.next_token_dist(prefix, contexts, pos_cache=cache)
-            nxt = int(np.argmax(dist))
-            if nxt == eos:
-                break
-            out.append(nxt)
-            prefix.append(nxt)
-    return out
+def _top_ids(dist, k):
+    """The k most probable ids, best first; ties go to the lowest id. Ranks
+    the probabilities themselves, since float32 log rounding could merge two
+    distinct ones. Equals np.argsort(-dist, kind="stable")[:k] without
+    sorting the whole vocabulary."""
+    k = min(k, len(dist))
+    kth = np.partition(dist, len(dist) - k)[len(dist) - k]
+    ids = np.flatnonzero(dist >= kth)
+    return ids[np.argsort(-dist[ids], kind="stable")][:k]
 
 
 def beam_search(step_fn, bos_id, eos_id, max_len, beam, alpha=0.7):
     """Length-normalized beam search over an abstract next-token distribution.
 
-    step_fn(prefix_ids) -> probability vector. Continuing hypotheses compete
-    on raw log-probability; final selection uses logprob / len^alpha.
+    step_fn(prefix_ids) -> probability vector. Each hypothesis expands its
+    `beam` most probable tokens (ties: lowest id); continuing hypotheses
+    compete on raw log-probability; final selection uses logprob / len^alpha.
+    Beam 1 is greedy decoding. A wider beam also runs the beam-1 pass and
+    returns the greedy sequence when it scores strictly higher, both scored
+    as log p(sequence + EOS) / len^alpha.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
 
-    def norm_score(seq_len, lp):
-        return lp / (max(seq_len, 1) ** alpha)
+    def norm_score(seq, lp):
+        return lp / (max(len(seq), 1) ** alpha)
 
-    beams = [([bos_id], 0.0)]
-    done = []
-    for _ in range(max_len):
-        cands = []
-        for seq, lp in beams:
-            logd = np.log(np.maximum(step_fn(seq), 1e-12))
-            top = np.argsort(-logd, kind="stable")[:beam]
-            for tok in top:
-                cands.append((seq + [int(tok)], lp + float(logd[tok])))
-        cands.sort(key=lambda c: -c[1])
-        beams = []
-        for seq, lp in cands:
-            if seq[-1] == eos_id:
-                done.append((seq[1:-1], norm_score(len(seq) - 2, lp)))
-            else:
-                beams.append((seq, lp))
-            if len(beams) >= beam:
+    def search(width):
+        """-> (sequence, summed log-prob, whether that sum includes EOS)"""
+        beams = [([bos_id], 0.0)]
+        done = []
+        for _ in range(max_len):
+            cands = []
+            for seq, lp in beams:
+                dist = step_fn(seq)
+                top = _top_ids(dist, width)
+                for tok, logp in zip(top, np.log(np.maximum(dist[top], 1e-12))):
+                    cands.append((seq + [int(tok)], lp + float(logp)))
+            cands.sort(key=lambda c: -c[1])
+            beams = []
+            for seq, lp in cands:
+                if seq[-1] == eos_id:
+                    done.append((seq[1:-1], lp, True))
+                else:
+                    beams.append((seq, lp))
+                if len(beams) >= width:
+                    break
+            if not beams:
                 break
-        if not beams:
-            break
-    for seq, lp in beams:
-        done.append((seq[1:], norm_score(len(seq) - 1, lp)))
-    done.sort(key=lambda d: -d[1])
-    return done[0][0] if done else []
+        done += [(seq[1:], lp, False) for seq, lp in beams]
+        return max(done, key=lambda d: norm_score(d[0], d[1]))
+
+    def eos_score(seq, lp, ended):
+        if not ended:  # cut at max_len: one more step for the EOS term
+            dist = step_fn([bos_id] + seq)
+            lp += float(np.log(np.maximum(dist[eos_id], 1e-12)))
+        return norm_score(seq, lp)
+
+    best = search(beam)
+    if beam == 1:
+        return best[0]
+    greedy = search(1)
+    if greedy[0] != best[0] and eos_score(*greedy) > eos_score(*best):
+        return greedy[0]
+    return best[0]
 
 
-def beam_decode(model, contexts, beam=5, max_len=31, alpha=0.7):
+def beam_decode(model, contexts, beam=5, max_len=31, alpha=0.7,
+                pos_cache=None):
     """Beam search over the model; never returns a sequence scoring below the
-    greedy one under the same normalized scoring function."""
-    bos, eos = model.vocab.bos_id, model.vocab.eos_id
+    greedy one under the same normalized scoring function.
 
+    Parameters are fixed during decoding, so position embeddings for all
+    prefix lengths are computed once into pos_cache (a fresh one if None).
+    """
+    cache = {"min_len": max_len} if pos_cache is None else pos_cache
     with T.no_grad():
-        cache = {"min_len": max_len}
+        return beam_search(
+            lambda prefix: model.next_token_dist(prefix, contexts,
+                                                 pos_cache=cache),
+            model.vocab.bos_id, model.vocab.eos_id, max_len, beam, alpha)
 
-        def step_fn(prefix):
-            return model.next_token_dist(prefix, contexts, pos_cache=cache)
 
-        best = beam_search(step_fn, bos, eos, max_len, beam, alpha)
-        if beam == 1:
-            return best
-        greedy = greedy_decode(model, contexts, max_len=max_len)
-
-        def score(seq):
-            lp = 0.0
-            prefix = [bos]
-            for tok in seq + [eos]:
-                dist = step_fn(prefix)
-                lp += float(np.log(max(dist[tok], 1e-12)))
-                prefix.append(tok)
-            return lp / (max(len(seq), 1) ** alpha)
-
-        if greedy != best and score(greedy) > score(best):
-            return greedy
-    return best
+def greedy_decode(model, contexts, max_len=31):
+    """Argmax decoding (beam 1); ties break toward the lowest token id."""
+    return beam_decode(model, contexts, beam=1, max_len=max_len)
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +311,9 @@ class TrainingDiverged(RuntimeError):
 
 
 def _val_cider(model, samples, feature_store, max_len):
-    pairs = []
-    for s in samples:
-        ctx = model.encode(s, feature_store.get(s.feature_ref))
-        ids = greedy_decode(model, ctx, max_len=max_len)
-        cand, _ = tag_clean(model.vocab.decode(ids), s.entities)
-        pairs.append(metrics.EvalPair(
-            candidate=cand if cand else [UNK],
-            reference=s.caption_tokens))
-    return metrics.cider(pairs)
+    """Greedy validation CIDEr; a named step so traces can tell validation
+    apart from training."""
+    return evaluate(model, samples, feature_store, max_len=max_len)["cider"]
 
 
 def train(cfg, train_samples, val_samples, vocab, feature_store,
@@ -331,6 +326,12 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
     model = CaptionModel(cfg.model, vocab, seed=cfg.seed)
     adam = T.AdamState(base_lr=cfg.base_lr, warmup=cfg.warmup)
     rng = np.random.default_rng(cfg.seed)
+
+    def snapshot(epoch, val):
+        return checkpoint_from_model(
+            model, step=step, epoch=epoch, seed=cfg.seed,
+            rng_state=rng.bit_generator.state, adam=copy.deepcopy(adam),
+            train_config=cfg.to_dict(), best_val_cider=val)
 
     best = None
     best_cider = -1.0
@@ -372,13 +373,7 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
             if val > best_cider:
                 best_cider = val
                 bad_evals = 0
-                best = checkpoint_from_model(
-                    model, step=step, epoch=epoch, seed=cfg.seed,
-                    rng_state=rng.bit_generator.state,
-                    adam=copy.deepcopy(adam),
-                    train_config=cfg.to_dict(),
-                    best_val_cider=val,
-                )
+                best = snapshot(epoch, val)
             else:
                 bad_evals += 1
 
@@ -392,17 +387,9 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
             break
         if cfg.target_loss is not None and per_token < cfg.target_loss:
             # overfit use-case: the final (memorized) weights are the product
-            best = checkpoint_from_model(
-                model, step=step, epoch=epoch, seed=cfg.seed,
-                rng_state=rng.bit_generator.state, adam=copy.deepcopy(adam),
-                train_config=cfg.to_dict(), best_val_cider=val)
+            best = snapshot(epoch, val)
             break
-    if best is None:
-        best = checkpoint_from_model(
-            model, step=step, epoch=cfg.max_epochs, seed=cfg.seed,
-            rng_state=rng.bit_generator.state, adam=copy.deepcopy(adam),
-            train_config=cfg.to_dict(), best_val_cider=None)
-    return best
+    return best if best is not None else snapshot(cfg.max_epochs, None)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +398,15 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
 
 def decode_sample(model, sample, feat_grid, decode="greedy", beam=5,
                   max_len=31):
-    ctx = model.encode(sample, feat_grid)
-    if decode == "greedy":
-        ids = greedy_decode(model, ctx, max_len=max_len)
-    elif decode == "beam":
-        ids = beam_decode(model, ctx, beam=beam, max_len=max_len)
-    else:
+    """The one inference path: encode and search without a tape, sharing one
+    position cache between the encoder and every decoding step."""
+    if decode not in ("greedy", "beam"):
         raise ValueError(f"unknown decode mode {decode!r}")
+    cache = {"min_len": max(len(sample.article_ids), max_len)}
+    with T.no_grad():
+        ctx = model.encode(sample, feat_grid, pos_cache=cache)
+        ids = beam_decode(model, ctx, beam=beam if decode == "beam" else 1,
+                          max_len=max_len, pos_cache=cache)
     return model.vocab.decode(ids)
 
 

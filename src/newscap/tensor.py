@@ -335,16 +335,6 @@ def relu(x):
     return out
 
 
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "relu": relu}
-
-
-def activation(kind, x):
-    try:
-        return _ACTIVATIONS[kind](x)
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-
-
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     h = x.data.shape[-1]

@@ -44,7 +44,7 @@ def test_acceptance_1_gradient_correctness():
     t0 = time.time()
     result = model_grad_check(eps=1e-4, tol=1e-6)
     elapsed = time.time() - t0
-    missing = [g for g, _ in PARAM_GROUPS if g not in result.per_group]
+    missing = [g for g in PARAM_GROUPS if g not in result.per_group]
     ok = (result.passed and not missing and elapsed < 120.0)
     _report(1, "gradient correctness", ok,
             f"max rel err {result.max_rel_err:.2e} over "

@@ -207,6 +207,41 @@ def test_corrupt_checkpoint_exit_2(tmp_path, prep_dir, synth_dir):
                 "--checkpoint", str(bad)]) == 2
 
 
+def _train_with(tmp_path, prep, synth, max_pos=128, **train):
+    cfg = dict({"batch_size": 4, "dropout": 0.0, "max_epochs": 1}, **train,
+               model={"hidden": 8, "heads": 2, "enc_layers": 1,
+                      "dec_layers": 1, "k_patches": 9, "feat_dim": 32,
+                      "max_pos": max_pos})
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "t"
+    rc = run(["train",
+              "--processed", str(prep / "processed.jsonl"),
+              "--val", str(prep / "processed.jsonl"),
+              "--vocab", str(prep / "vocab.json"),
+              "--features", str(synth),
+              "--config", str(cfg_path),
+              "--out", str(out)])
+    return rc, out
+
+
+def test_train_zero_epochs_exit_0(tmp_path, prep_dir, synth_dir, capsys):
+    rc, out = _train_with(tmp_path, prep_dir, synth_dir, max_epochs=0)
+    assert rc == 0
+    assert (out / "checkpoint.bin").exists()
+    assert "no validation ran" in capsys.readouterr().out
+
+
+def test_train_max_pos_below_article_exit_2(tmp_path):
+    raw, prep = tmp_path / "raw", tmp_path / "prep"
+    assert run(["synth", "--out", str(raw), "--n", "8", "--seed", "0"]) == 0
+    assert run(["preprocess", "--raw", str(raw / "raw.jsonl"),
+                "--out", str(prep)]) == 0
+    rc, out = _train_with(tmp_path, prep, raw, max_pos=64)
+    assert rc == 2
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_bad_config_file_exit_2(tmp_path, prep_dir, synth_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{broken json")

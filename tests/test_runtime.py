@@ -227,6 +227,58 @@ def test_beam_search_rejects_bad_beam():
         R.beam_search(lambda p: np.ones(3), 0, 1, 4, beam=0)
 
 
+def test_top_ids_matches_stable_argsort():
+    rng = np.random.default_rng(0)
+    for dist in (rng.random(50), np.repeat(rng.random(10), 5),
+                 np.ones(7), np.array([0.2, 0.5, 0.5, 0.1, 0.5])):
+        for k in (1, 2, 5, 60):
+            assert list(R._top_ids(dist, k)) == \
+                list(np.argsort(-dist, kind="stable")[:k])
+
+
+def test_beam_search_falls_back_to_greedy_under_eos_score():
+    # ids 0=BOS, 1=EOS. [4, 4] wins on the open score at max_len, but its EOS
+    # term (0.01) sinks it below greedy's [2, 3] once EOS is appended.
+    v = 5
+    table = {
+        (0,): [0, 0, 0.5, 0, 0.45],
+        (0, 2): [0, 0, 0, 0.6, 0],
+        (0, 4): [0, 0, 0, 0, 0.95],
+        (0, 2, 3): [0, 0.9, 0, 0, 0],
+        (0, 4, 4): [0, 0.01, 0, 0, 0],
+    }
+    fn = _table_step_fn(table, v)
+    assert R.beam_search(fn, bos_id=0, eos_id=1, max_len=2, beam=1) == [2, 3]
+    assert R.beam_search(fn, bos_id=0, eos_id=1, max_len=2, beam=2) == [2, 3]
+
+
+def test_decode_sample_encodes_once_without_tape(tmp_path, monkeypatch):
+    from newscap import encoder as E
+    samples, store = _training_setup(tmp_path, n=1)
+    model = make_model(seed=10)
+    lstm_calls = []
+    contexts = []
+    position_lstm, encode = E.position_lstm, model.encode
+
+    def counting_lstm(*args):
+        lstm_calls.append(args[2])
+        return position_lstm(*args)
+
+    def recording_encode(*args, **kwargs):
+        contexts.append(encode(*args, **kwargs))
+        return contexts[-1]
+
+    monkeypatch.setattr(E, "position_lstm", counting_lstm)
+    monkeypatch.setattr(model, "encode", recording_encode)
+    # max_len may reach the position table: the shared cache never asks for
+    # more positions than the longest of the article and max_len
+    R.decode_sample(model, samples[0], store.get(samples[0].feature_ref),
+                    max_len=model.cfg.max_pos)
+    assert lstm_calls == [model.cfg.max_pos]
+    ctx, = contexts
+    assert ctx.article._bw is None and ctx.entities._bw is None
+
+
 # ---------------------------------------------------------------------------
 # tag cleaning
 

@@ -86,15 +86,10 @@ def test_softmax_is_distribution(vals):
 
 
 def test_activation_values():
-    assert T.activation("sigmoid", t64([[0.0]])).item() == 0.5
-    assert T.activation("tanh", t64([[0.0]])).item() == 0.0
-    assert T.activation("relu", t64([[-3.0]])).item() == 0.0
-    assert T.activation("relu", t64([[3.0]])).item() == 3.0
-
-
-def test_activation_unknown_kind():
-    with pytest.raises(ValueError):
-        T.activation("gelu", t64([[1.0]]))
+    assert T.sigmoid(t64([[0.0]])).item() == 0.5
+    assert T.tanh(t64([[0.0]])).item() == 0.0
+    assert T.relu(t64([[-3.0]])).item() == 0.0
+    assert T.relu(t64([[3.0]])).item() == 3.0
 
 
 # ---------------------------------------------------------------------------
