@@ -190,6 +190,26 @@ def _load_model_inputs(args):
     return vocab, samples, store
 
 
+def _check_positions(max_pos, samples, decode_len, captions=False):
+    """Reject up front a position table shorter than the longest article,
+    the decode length or, with `captions`, the longest caption input."""
+    need = max([decode_len] + [
+        max(len(s.article_ids), len(s.caption_ids) - 1 if captions else 0)
+        for s in samples])
+    if need > max_pos:
+        raise InputError(
+            f"model.max_pos {max_pos} is below the {need} positions the "
+            "longest article, caption or decode length needs")
+
+
+def _check_decode_positions(args, model, samples):
+    # a beam scores a caption cut at the decode length with one more step,
+    # for its EOS term
+    wide = args.decode == "beam" and args.beam > 1
+    _check_positions(model.cfg.max_pos, samples,
+                     runtime.MAX_DECODE_LEN + wide)
+
+
 def cmd_train(args):
     out = _ensure_out(args)
     vocab, train_samples, store = _load_model_inputs(args)
@@ -197,13 +217,8 @@ def cmd_train(args):
         raise InputError(f"validation set not found: {args.val}")
     val_samples = corpus.load_processed(args.val)
     cfg = _resolved_train_config(args, vocab)
-    need = max([cfg.max_decode_len] + [
-        max(len(s.article_ids), len(s.caption_ids) - 1)
-        for s in train_samples + val_samples])
-    if need > cfg.model.max_pos:
-        raise InputError(
-            f"model.max_pos {cfg.model.max_pos} is below the {need} positions "
-            "the longest article, caption or max_decode_len needs")
+    _check_positions(cfg.model.max_pos, train_samples + val_samples,
+                     cfg.max_decode_len, captions=True)
     log_path = os.path.join(out, "train_log.jsonl")
     ckpt_path = os.path.join(out, "checkpoint.bin")
     with open(log_path, "w", encoding="utf-8") as log_fh:
@@ -233,7 +248,9 @@ def _load_model(args, vocab):
 def cmd_caption(args):
     vocab, samples, store = _load_model_inputs(args)
     model = _load_model(args, vocab)
-    for s in samples[:args.limit or 1]:
+    samples = samples[:args.limit or 1]
+    _check_decode_positions(args, model, samples)
+    for s in samples:
         raw = runtime.decode_sample(
             model, s, store.get(s.feature_ref), decode=args.decode,
             beam=args.beam)
@@ -247,6 +264,7 @@ def cmd_evaluate(args):
     out = _ensure_out(args)
     vocab, samples, store = _load_model_inputs(args)
     model = _load_model(args, vocab)
+    _check_decode_positions(args, model, samples)
     report = runtime.evaluate(model, samples, store, decode=args.decode,
                               beam=args.beam)
     report_path = os.path.join(out, "report.json")

@@ -23,18 +23,22 @@ class StepOutput:
 
 @dataclass
 class DecoderOutput:
-    p_star: T.Tensor       # [N x V]
+    p_star: T.Tensor       # [N x V]; one row per prefix with `lengths`
     steps: list            # per-step StepOutput (detached numpy views)
 
 
-def causal_mask(n):
-    return np.tril(np.ones((n, n), dtype=bool))
+def causal_mask(*lengths):
+    """Block-diagonal causal mask over sequences of the given lengths stacked
+    row-wise: a row attends to the rows of its own sequence up to itself."""
+    seq = np.repeat(np.arange(len(lengths)), lengths)
+    return np.tril(seq[:, None] == seq[None, :])
 
 
-def masked_self_aoa(params, pfx, x, heads, drop=None):
-    """Self-AoA where position t attends to positions 1..t."""
-    out, _ = aoa(params, pfx, x, x, x, heads, mask=causal_mask(x.shape[0]),
-                 drop=drop)
+def masked_self_aoa(params, pfx, x, heads, drop=None, lengths=None):
+    """Self-AoA where position t attends to positions 1..t of its own
+    sequence; `lengths` splits the rows of x into stacked sequences."""
+    mask = causal_mask(*(lengths or [x.shape[0]]))
+    out, _ = aoa(params, pfx, x, x, x, heads, mask=mask, drop=drop)
     return out
 
 
@@ -60,15 +64,6 @@ def fuse_and_project(params, pfx, xa, v_ctx, a_ctx, e_ctx, drop=None):
                         params[pfx + "/ln2_g"], params[pfx + "/ln2_b"])
 
 
-def _one_hot(ids, vocab_size, dtype):
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-        raise IndexError("copy map id out of vocabulary range")
-    m = np.zeros((len(ids), vocab_size), dtype=dtype)
-    m[np.arange(len(ids)), ids] = 1.0
-    return m
-
-
 def pointer_mix(params, x0, v_ctx, a_ctx, e_ctx, a_v, a_e, p_s,
                 article_map, entity_map, vocab_size):
     """Mix the vocabulary distribution with the two copy distributions.
@@ -88,29 +83,42 @@ def pointer_mix(params, x0, v_ctx, a_ctx, e_ctx, a_v, a_e, p_s,
         q_gen = T.Tensor(np.zeros(p_gen.data.shape, dtype=dtype))
     w_s = T.relu(1.0 - p_gen - q_gen)
     denom = p_gen + q_gen + w_s
-    copy_v = T.matmul(a_v, T.Tensor(_one_hot(article_map, vocab_size, dtype)))
+    copy_v = T.scatter_cols(a_v, article_map, vocab_size)
     mixed = (p_gen / denom) * copy_v + (w_s / denom) * p_s
     if a_e is not None:
-        copy_e = T.matmul(a_e, T.Tensor(_one_hot(entity_map, vocab_size, dtype)))
+        copy_e = T.scatter_cols(a_e, entity_map, vocab_size)
         mixed = mixed + (q_gen / denom) * copy_e
     return mixed, p_gen, q_gen
 
 
 def decode_distributions(params, cfg, input_ids, contexts, drop=None,
-                         collect_steps=False, pos_cache=None):
+                         collect_steps=False, pos_cache=None, lengths=None):
     """Run the decoder stack on an input prefix; returns per-position final
-    distributions. input_ids is BOS + tokens (targets are not consumed here)."""
-    x0 = embed_positions(params, cfg, input_ids, pos_cache=pos_cache)
+    distributions. input_ids is BOS + tokens (targets are not consumed here).
+
+    With `lengths`, input_ids stacks BOS-rooted prefixes of those lengths,
+    each attending only within itself, and the output holds one row per
+    prefix: the distribution after its last token. Only those rows go
+    through the output head and the pointer mix.
+    """
+    x0 = embed_positions(params, cfg, input_ids, pos_cache=pos_cache,
+                         lengths=lengths)
     x = x0
     a_v = a_e = None
     v_ctx = a_ctx = e_ctx = None
     for l in range(cfg.dec_layers):
-        xa = masked_self_aoa(params, f"dec/l{l}/self", x, cfg.heads, drop=drop)
+        xa = masked_self_aoa(params, f"dec/l{l}/self", x, cfg.heads, drop=drop,
+                             lengths=lengths)
         v_ctx, a_ctx, e_ctx, a_v, a_e = multimodal_aoa(
             params, f"dec/l{l}", xa, contexts.vproj, contexts.article,
             contexts.entities, cfg.heads, drop=drop)
         x = fuse_and_project(params, f"dec/l{l}", xa, v_ctx, a_ctx, e_ctx,
                              drop=drop)
+    if lengths is not None:
+        last = np.cumsum(lengths) - 1
+        x, x0, v_ctx, a_ctx, e_ctx, a_v, a_e = (
+            None if t is None else T.embedding_lookup(t, last)
+            for t in (x, x0, v_ctx, a_ctx, e_ctx, a_v, a_e))
     p_s = T.softmax(T.matmul(x, params["out/w"]) + params["out/b"], axis=1)
     if cfg.pointer:
         p_star, p_gen, q_gen = pointer_mix(
@@ -121,8 +129,7 @@ def decode_distributions(params, cfg, input_ids, contexts, drop=None,
         p_gen = q_gen = None
     steps = []
     if collect_steps:
-        n = len(input_ids)
-        for t in range(n):
+        for t in range(p_star.shape[0]):
             steps.append(StepOutput(
                 p_s=p_s.data[t].copy(),
                 a_v=a_v.data[t].copy(),

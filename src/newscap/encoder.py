@@ -117,24 +117,34 @@ def position_lstm(params, cfg, length):
     return lstm_rows(params, "emb/lstm", T.slice_rows(params["emb/pos"], 0, length))
 
 
-def embed_positions(params, cfg, ids, pos_cache=None):
+def embed_positions(params, cfg, ids, pos_cache=None, lengths=None):
     """Word embedding plus LSTM-updated position embedding.
 
-    The position path depends only on parameters, so callers inside one
-    forward/backward step may share it via pos_cache (a mutable dict).
+    With `lengths`, ids stacks sequences of those lengths row-wise and each
+    one's positions start again at 1. The position path depends only on
+    parameters, so callers inside one forward/backward step may share it via
+    pos_cache (a mutable dict).
     """
     n = len(ids)
     if n == 0:
         raise ValueError("cannot embed an empty token sequence")
     words = T.embedding_lookup(params["emb/word"], ids)
+    span = n if lengths is None else max(lengths)
     if pos_cache is not None:
         cached = pos_cache.get("lstm")
-        if cached is None or cached.shape[0] < n:
-            cached = position_lstm(params, cfg, max(n, pos_cache.get("min_len", 0)))
+        if cached is None or cached.shape[0] < span:
+            cached = position_lstm(params, cfg,
+                                   max(span, pos_cache.get("min_len", 0)))
             pos_cache["lstm"] = cached
-        pos = cached if cached.shape[0] == n else T.slice_rows(cached, 0, n)
     else:
-        pos = position_lstm(params, cfg, n)
+        cached = position_lstm(params, cfg, span)
+    if span < n:
+        pos = T.embedding_lookup(
+            cached, np.concatenate([np.arange(k) for k in lengths]))
+    elif cached.shape[0] == n:
+        pos = cached
+    else:
+        pos = T.slice_rows(cached, 0, n)
     return words + pos
 
 

@@ -180,8 +180,13 @@ class CaptionModel:
             self.params, self.cfg, sample.caption_ids, contexts, drop=drop,
             collect_steps=collect_steps, pos_cache=pos_cache)
 
-    def next_token_dist(self, prefix_ids, contexts, pos_cache=None):
-        """Distribution over the next token given a BOS-rooted prefix."""
-        out = D.decode_distributions(self.params, self.cfg, prefix_ids,
-                                     contexts, pos_cache=pos_cache)
-        return out.p_star.data[-1]
+    def next_token_dist(self, prefixes, contexts, pos_cache=None):
+        """Distribution over the next token after a BOS-rooted prefix: [V]
+        for one flat prefix, [k x V] for a list of k prefixes, all stepped
+        by one decoder call."""
+        single = np.ndim(prefixes[0]) == 0
+        batch = [prefixes] if single else prefixes
+        out = D.decode_distributions(
+            self.params, self.cfg, [t for p in batch for t in p], contexts,
+            pos_cache=pos_cache, lengths=[len(p) for p in batch])
+        return out.p_star.data[0] if single else out.p_star.data

@@ -19,6 +19,7 @@ from .model import CaptionModel, ModelConfig
 
 CKPT_MAGIC = b"NCKP"
 CKPT_VERSION = 1
+MAX_DECODE_LEN = 31
 
 
 @dataclass
@@ -31,7 +32,7 @@ class TrainConfig:
     max_epochs: int = 100
     eval_every: int = 1         # epochs between validation decodes
     seed: int = 0
-    max_decode_len: int = 31
+    max_decode_len: int = MAX_DECODE_LEN
     target_loss: float | None = None  # stop once per-token loss drops below
     model: ModelConfig = None
 
@@ -89,7 +90,7 @@ def save_checkpoint(ckpt, path):
     Written atomically (temp file + rename)."""
     names = sorted(ckpt.params)
     dtype = str(ckpt.params[names[0]].dtype) if names else "float32"
-    blobs = [np.ascontiguousarray(ckpt.params[n]).tobytes() for n in names]
+    buckets = [ckpt.params]
     adam = None
     if ckpt.adam is not None:
         adam = {
@@ -97,13 +98,10 @@ def save_checkpoint(ckpt, path):
             "beta2": ckpt.adam.beta2, "eps": ckpt.adam.eps,
             "warmup": ckpt.adam.warmup, "step": ckpt.adam.step,
         }
-        for n in names:
-            blobs.append(np.ascontiguousarray(
-                ckpt.adam.m.get(n, np.zeros_like(ckpt.params[n]))).tobytes())
-        for n in names:
-            blobs.append(np.ascontiguousarray(
-                ckpt.adam.v.get(n, np.zeros_like(ckpt.params[n]))).tobytes())
-    blob = b"".join(blobs)
+        buckets += [ckpt.adam.m, ckpt.adam.v]
+    blob = b"".join(
+        (bucket[n] if n in bucket else np.zeros_like(ckpt.params[n])).tobytes()
+        for bucket in buckets for n in names)
     header = {
         "version": CKPT_VERSION,
         "dtype": dtype,
@@ -146,26 +144,22 @@ def load_checkpoint(path):
         raise ValueError("checkpoint checksum failure")
     dtype = np.dtype(header["dtype"])
     params = {}
-    offset = 0
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) * dtype.itemsize
-        params[entry["name"]] = np.frombuffer(
-            blob[offset:offset + size], dtype=dtype).reshape(shape).copy()
-        offset += size
+    buckets = [params]
     adam = None
     if header["adam"] is not None:
         a = header["adam"]
         adam = T.AdamState(base_lr=a["base_lr"], beta1=a["beta1"],
                            beta2=a["beta2"], eps=a["eps"], warmup=a["warmup"],
                            step=a["step"])
-        for bucket in (adam.m, adam.v):
-            for entry in header["params"]:
-                shape = tuple(entry["shape"])
-                size = int(np.prod(shape)) * dtype.itemsize
-                bucket[entry["name"]] = np.frombuffer(
-                    blob[offset:offset + size], dtype=dtype).reshape(shape).copy()
-                offset += size
+        buckets += [adam.m, adam.v]
+    offset = 0
+    for bucket in buckets:
+        for entry in header["params"]:
+            shape = tuple(entry["shape"])
+            size = int(np.prod(shape)) * dtype.itemsize
+            bucket[entry["name"]] = np.frombuffer(
+                blob[offset:offset + size], dtype=dtype).reshape(shape).copy()
+            offset += size
     return Checkpoint(
         config=ModelConfig.from_dict(header["config"]),
         params=params,
@@ -198,60 +192,78 @@ def _top_ids(dist, k):
 def beam_search(step_fn, bos_id, eos_id, max_len, beam, alpha=0.7):
     """Length-normalized beam search over an abstract next-token distribution.
 
-    step_fn(prefix_ids) -> probability vector. Each hypothesis expands its
-    `beam` most probable tokens (ties: lowest id); continuing hypotheses
-    compete on raw log-probability; final selection uses logprob / len^alpha.
-    Beam 1 is greedy decoding. A wider beam also runs the beam-1 pass and
-    returns the greedy sequence when it scores strictly higher, both scored
-    as log p(sequence + EOS) / len^alpha.
+    step_fn(prefixes) -> [len(prefixes) x V] probabilities, one row per
+    BOS-rooted prefix. Each hypothesis expands its `beam` most probable
+    tokens (ties: lowest id); continuing hypotheses compete on raw
+    log-probability; final selection uses logprob / len^alpha. Beam 1 is
+    greedy decoding. A wider beam also runs the beam-1 pass, in lockstep,
+    and returns the greedy sequence when it scores strictly higher, both
+    scored as log p(sequence + EOS) / len^alpha. Distributions are kept in a
+    table keyed by prefix, so step_fn is called once per step, with the live
+    prefixes of both passes that the table does not hold yet.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
+    table = {}
+
+    def fill(prefixes):
+        todo = list(dict.fromkeys(
+            k for k in map(tuple, prefixes) if k not in table))
+        if todo:
+            table.update(zip(todo, step_fn(todo)))
+
+    def logp(dist, ids):
+        return np.log(np.maximum(dist[ids], 1e-12))
 
     def norm_score(seq, lp):
         return lp / (max(len(seq), 1) ** alpha)
 
-    def search(width):
-        """-> (sequence, summed log-prob, whether that sum includes EOS)"""
-        beams = [([bos_id], 0.0)]
-        done = []
+    def search(widths):
+        """One search per width, stepped together.
+        -> per width: (sequence, summed log-prob, whether it includes EOS)"""
+        beams = {w: [([bos_id], 0.0)] for w in widths}
+        done = {w: [] for w in widths}
         for _ in range(max_len):
-            cands = []
-            for seq, lp in beams:
-                dist = step_fn(seq)
-                top = _top_ids(dist, width)
-                for tok, logp in zip(top, np.log(np.maximum(dist[top], 1e-12))):
-                    cands.append((seq + [int(tok)], lp + float(logp)))
-            cands.sort(key=lambda c: -c[1])
-            beams = []
-            for seq, lp in cands:
-                if seq[-1] == eos_id:
-                    done.append((seq[1:-1], lp, True))
-                else:
-                    beams.append((seq, lp))
-                if len(beams) >= width:
-                    break
-            if not beams:
+            live = [seq for w in widths for seq, _ in beams[w]]
+            if not live:
                 break
-        done += [(seq[1:], lp, False) for seq, lp in beams]
-        return max(done, key=lambda d: norm_score(d[0], d[1]))
+            fill(live)
+            for w in widths:
+                cands = []
+                for seq, lp in beams[w]:
+                    dist = table[tuple(seq)]
+                    top = _top_ids(dist, w)
+                    for tok, tok_lp in zip(top, logp(dist, top)):
+                        cands.append((seq + [int(tok)], lp + float(tok_lp)))
+                cands.sort(key=lambda c: -c[1])
+                beams[w] = []
+                for seq, lp in cands:
+                    if seq[-1] == eos_id:
+                        done[w].append((seq[1:-1], lp, True))
+                    else:
+                        beams[w].append((seq, lp))
+                    if len(beams[w]) >= w:
+                        break
+        return [max(done[w] + [(seq[1:], lp, False) for seq, lp in beams[w]],
+                    key=lambda d: norm_score(d[0], d[1])) for w in widths]
+
+    if beam == 1:
+        return search([1])[0][0]
+    best, greedy = search([beam, 1])
+    if greedy[0] == best[0]:
+        return best[0]
+    # a caption cut at max_len takes one more step for its EOS term
+    fill([[bos_id] + seq for seq, _, ended in (greedy, best) if not ended])
 
     def eos_score(seq, lp, ended):
-        if not ended:  # cut at max_len: one more step for the EOS term
-            dist = step_fn([bos_id] + seq)
-            lp += float(np.log(np.maximum(dist[eos_id], 1e-12)))
+        if not ended:
+            lp += float(logp(table[tuple([bos_id] + seq)], eos_id))
         return norm_score(seq, lp)
 
-    best = search(beam)
-    if beam == 1:
-        return best[0]
-    greedy = search(1)
-    if greedy[0] != best[0] and eos_score(*greedy) > eos_score(*best):
-        return greedy[0]
-    return best[0]
+    return greedy[0] if eos_score(*greedy) > eos_score(*best) else best[0]
 
 
-def beam_decode(model, contexts, beam=5, max_len=31, alpha=0.7,
+def beam_decode(model, contexts, beam=5, max_len=MAX_DECODE_LEN, alpha=0.7,
                 pos_cache=None):
     """Beam search over the model; never returns a sequence scoring below the
     greedy one under the same normalized scoring function.
@@ -262,12 +274,12 @@ def beam_decode(model, contexts, beam=5, max_len=31, alpha=0.7,
     cache = {"min_len": max_len} if pos_cache is None else pos_cache
     with T.no_grad():
         return beam_search(
-            lambda prefix: model.next_token_dist(prefix, contexts,
-                                                 pos_cache=cache),
+            lambda prefixes: model.next_token_dist(prefixes, contexts,
+                                                   pos_cache=cache),
             model.vocab.bos_id, model.vocab.eos_id, max_len, beam, alpha)
 
 
-def greedy_decode(model, contexts, max_len=31):
+def greedy_decode(model, contexts, max_len=MAX_DECODE_LEN):
     """Argmax decoding (beam 1); ties break toward the lowest token id."""
     return beam_decode(model, contexts, beam=1, max_len=max_len)
 
@@ -397,7 +409,7 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
 
 
 def decode_sample(model, sample, feat_grid, decode="greedy", beam=5,
-                  max_len=31):
+                  max_len=MAX_DECODE_LEN):
     """The one inference path: encode and search without a tape, sharing one
     position cache between the encoder and every decoding step."""
     if decode not in ("greedy", "beam"):
@@ -411,7 +423,7 @@ def decode_sample(model, sample, feat_grid, decode="greedy", beam=5,
 
 
 def evaluate(model, samples, feature_store, decode="greedy", beam=5,
-             max_len=31):
+             max_len=MAX_DECODE_LEN):
     """Decode, tag-clean, and score; reports metrics both before and after
     tag cleaning to quantify the post-processing contribution."""
     pre_pairs = []

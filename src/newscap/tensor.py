@@ -376,6 +376,25 @@ def embedding_lookup(table, ids):
     return out
 
 
+def scatter_cols(a, ids, n):
+    """Scatter-add the columns of a [R x L] into n columns: column i adds
+    into column ids[i]. Equals a @ one_hot(ids, n) without building the
+    [L x n] matrix; accumulates in a's dtype, in column order, so it rounds
+    as that matmul does."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise IndexError("scatter id out of range")
+    data = np.zeros((a.data.shape[0], n), dtype=a.data.dtype)
+    np.add.at(data, (slice(None), ids), a.data)
+    out = Tensor(data, (a,))
+
+    def bw():
+        a._accum(out.grad[:, ids])
+
+    _register(out, bw)
+    return out
+
+
 def avg_pool_rows(x):
     if x.data.shape[0] == 0:
         raise ValueError("avg_pool_rows on empty input")

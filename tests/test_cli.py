@@ -242,6 +242,29 @@ def test_train_max_pos_below_article_exit_2(tmp_path):
     assert not (out / "checkpoint.bin").exists()
 
 
+def test_evaluate_max_pos_below_article_exit_2(tmp_path):
+    from newscap import runtime
+    from newscap.corpus import Vocabulary
+    from newscap.model import CaptionModel, ModelConfig
+    raw, prep = tmp_path / "raw", tmp_path / "prep"
+    assert run(["synth", "--out", str(raw), "--n", "8", "--seed", "0"]) == 0
+    assert run(["preprocess", "--raw", str(raw / "raw.jsonl"),
+                "--out", str(prep)]) == 0
+    vocab = Vocabulary.load(str(prep / "vocab.json"))
+    cfg = ModelConfig(vocab_size=len(vocab), hidden=8, heads=2, enc_layers=1,
+                      dec_layers=1, k_patches=9, feat_dim=32, max_pos=64)
+    ckpt = str(tmp_path / "m.bin")
+    runtime.save_checkpoint(
+        runtime.checkpoint_from_model(CaptionModel(cfg, vocab)), ckpt)
+    out = tmp_path / "eval"
+    assert run(["evaluate",
+                "--processed", str(prep / "processed.jsonl"),
+                "--vocab", str(prep / "vocab.json"),
+                "--features", str(raw),
+                "--checkpoint", ckpt, "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
 def test_bad_config_file_exit_2(tmp_path, prep_dir, synth_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{broken json")

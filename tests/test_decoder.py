@@ -360,3 +360,36 @@ def test_build_copy_maps_rules():
     ]
     # OOV mention -> tag id; fully in-vocab mention -> first token id
     assert list(entity_map) == [vocab.tag_id("ORG"), vocab.id_of("beta")]
+
+
+# ---------------------------------------------------------------------------
+# incremental decoding
+
+
+def test_next_token_dist_equals_teacher_forced_last_row():
+    model = make_model(seed=24)
+    sample, ctx = encode(model)
+    ids = sample.caption_ids
+    for t in range(1, len(ids) + 1):
+        full = D.decode_distributions(model.params, model.cfg, ids[:t], ctx)
+        got = model.next_token_dist(ids[:t], ctx)
+        assert got.shape == (len(VOCAB),)
+        np.testing.assert_allclose(got, full.p_star.data[-1], rtol=1e-6,
+                                   atol=0)
+
+
+@pytest.mark.parametrize("pointer, entities", [
+    (True, True), (True, False), (False, True)])
+def test_stacked_prefixes_match_single_prefix_calls(pointer, entities):
+    model = make_model(seed=25, pointer=pointer)
+    sample = make_sample()
+    if not entities:
+        sample.entities = []
+    sample, ctx = encode(model, sample)
+    ids = sample.caption_ids
+    prefixes = [ids[:3], ids[:1], ids[:5], [ids[0], ids[3], ids[1]], ids[:2]]
+    stacked = model.next_token_dist(prefixes, ctx)
+    assert stacked.shape == (len(prefixes), len(VOCAB))
+    for row, prefix in zip(stacked, prefixes):
+        np.testing.assert_allclose(row, model.next_token_dist(prefix, ctx),
+                                   rtol=1e-6, atol=0)

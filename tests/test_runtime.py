@@ -152,7 +152,7 @@ def _table_step_fn(table, vocab_size):
             dist = np.zeros(vocab_size)
             dist[1] = 1.0  # force EOS when off-table
         return np.asarray(dist, dtype=float)
-    return fn
+    return lambda prefixes: np.stack([fn(p) for p in prefixes])
 
 
 def _exhaustive_best(table, bos, eos, max_len, vocab_size, alpha=0.7):
@@ -169,7 +169,7 @@ def _exhaustive_best(table, bos, eos, max_len, vocab_size, alpha=0.7):
             prefix = [bos]
             ok = True
             for tok in toks:
-                p = fn(prefix)[tok]
+                p = fn([prefix])[0, tok]
                 if p <= 0:
                     ok = False
                     break
@@ -201,6 +201,41 @@ def test_beam_search_matches_exhaustive_enumeration():
     got = R.beam_search(fn, bos_id=0, eos_id=1, max_len=3, beam=5)
     expect = _exhaustive_best(table, bos=0, eos=1, max_len=3, vocab_size=v)
     assert got == expect
+
+
+def test_beam_search_steps_all_live_prefixes_in_one_call():
+    v = 5
+    table = {
+        (0,): [0, 0.05, 0.5, 0.25, 0.2],
+        (0, 2): [0, 0.1, 0.1, 0.7, 0.1],
+        (0, 3): [0, 0.3, 0.3, 0.2, 0.2],
+        (0, 4): [0, 0.9, 0.02, 0.04, 0.04],
+        (0, 2, 3): [0, 0.8, 0.1, 0.05, 0.05],
+    }
+    calls = []
+
+    def counting(table):
+        fn = _table_step_fn(table, v)
+
+        def step(prefixes):
+            calls.append(sorted(tuple(p) for p in prefixes))
+            return fn(prefixes)
+        return step
+
+    assert R.beam_search(counting(table), 0, 1, max_len=3, beam=1) == [2, 3]
+    assert calls == [[(0,)], [(0, 2)], [(0, 2, 3)]]
+    calls.clear()
+    R.beam_search(counting(table), 0, 1, max_len=3, beam=3)
+    # the greedy pass's prefixes (0,), (0, 2), (0, 2, 3) are beam prefixes
+    assert [{len(p) for p in c} for c in calls] == [{1}, {2}, {3}]
+    assert (0, 2) in calls[1] and (0, 2, 3) in calls[2]
+    # greedy's (0, 2, 2) drops out of the beam of 2 and joins its call
+    calls.clear()
+    table = {(0,): [0, 0, 0.4, 0.35, 0.25], (0, 2): [0, 0, 0.34, 0.33, 0.33],
+             (0, 3): [0, 0, 0.5, 0.5, 0]}
+    R.beam_search(counting(table), 0, 1, max_len=3, beam=2)
+    assert calls == [[(0,)], [(0, 2), (0, 3)],
+                     [(0, 2, 2), (0, 3, 2), (0, 3, 3)]]
 
 
 def test_beam_search_wider_never_worse():

@@ -157,6 +157,24 @@ def test_embedding_lookup_out_of_range():
         T.embedding_lookup(t64(np.zeros((3, 2))), [3])
 
 
+def test_scatter_cols_equals_one_hot_matmul():
+    rng = np.random.default_rng(5)
+    ids = np.array([3, 0, 3, 5, 0, 3, 1])
+    one_hot = np.eye(6)[ids]
+    for dtype in (np.float32, np.float64):
+        a = T.Tensor(rng.random((4, len(ids))).astype(dtype))
+        out = T.scatter_cols(a, ids, 6)
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, a.data @ one_hot.astype(dtype))
+
+
+def test_scatter_cols_out_of_range():
+    a = t64(np.ones((2, 3)))
+    for ids in ([0, 1, 4], [0, -1, 2]):
+        with pytest.raises(IndexError):
+            T.scatter_cols(a, ids, 4)
+
+
 def test_avg_pool_rows():
     assert np.array_equal(T.avg_pool_rows(t64([[2.0, 4.0]])).data, [[2.0, 4.0]])
     assert np.array_equal(
@@ -243,6 +261,8 @@ def test_unreachable_param_gets_zero_grad():
                            * T.slice_cols(p["g"], 0, 2) + 2.0)),
     lambda p: T.sum_all(T.avg_pool_rows(p["w"]) * T.slice_rows(p["u"], 0, 1)),
     lambda p: -T.sum_all(T.log_clamped(T.softmax(p["w"], axis=1))),
+    lambda p: T.sum_all(T.scatter_cols(p["w"], [2, 0, 2, 1], 3)
+                        * T.slice_cols(p["u"], 1, 4)),
 ])
 def test_per_op_finite_differences(build):
     with T.precision("float64"):
