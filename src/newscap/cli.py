@@ -99,14 +99,11 @@ def cmd_preprocess(args):
     kept = []
     try:
         for s in corpus.load_corpus(args.raw, report):
-            if min(s.image_width, s.image_height) < corpus.MIN_IMAGE_SIDE:
-                rejections["image_size"] += 1
-                continue
-            n_words = len(s.caption.split())
-            if not corpus.MIN_CAPTION_WORDS <= n_words <= corpus.MAX_CAPTION_WORDS:
-                rejections["caption_length"] += 1
-                continue
-            kept.append(s)
+            reason = corpus.rejection_reason(s)
+            if reason:
+                rejections[reason] += 1
+            else:
+                kept.append(s)
     except CorpusError as e:
         raise InputError(str(e))
     if not kept:
@@ -202,7 +199,9 @@ def _check_positions(max_pos, samples, decode_len, captions=False):
             "longest article, caption or decode length needs")
 
 
-def _check_decode_positions(args, model, samples):
+def _check_decode(args, model, samples):
+    if args.beam < 1:
+        raise InputError(f"--beam must be at least 1, got {args.beam}")
     # a beam scores a caption cut at the decode length with one more step,
     # for its EOS term
     wide = args.decode == "beam" and args.beam > 1
@@ -249,7 +248,7 @@ def cmd_caption(args):
     vocab, samples, store = _load_model_inputs(args)
     model = _load_model(args, vocab)
     samples = samples[:args.limit or 1]
-    _check_decode_positions(args, model, samples)
+    _check_decode(args, model, samples)
     for s in samples:
         raw = runtime.decode_sample(
             model, s, store.get(s.feature_ref), decode=args.decode,
@@ -264,7 +263,7 @@ def cmd_evaluate(args):
     out = _ensure_out(args)
     vocab, samples, store = _load_model_inputs(args)
     model = _load_model(args, vocab)
-    _check_decode_positions(args, model, samples)
+    _check_decode(args, model, samples)
     report = runtime.evaluate(model, samples, store, decode=args.decode,
                               beam=args.beam)
     report_path = os.path.join(out, "report.json")

@@ -168,13 +168,16 @@ def load_corpus(path, report=None):
         )
 
 
-def filter_sample(s, min_len=MIN_CAPTION_WORDS, max_len=MAX_CAPTION_WORDS,
-                  min_side=MIN_IMAGE_SIDE):
-    """Keep samples with large enough images and caption length in [5, 31] words."""
+def rejection_reason(s, min_len=MIN_CAPTION_WORDS, max_len=MAX_CAPTION_WORDS,
+                     min_side=MIN_IMAGE_SIDE):
+    """Why the filters drop a sample: "image_size" when an image side is
+    below min_side, "caption_length" when the caption is outside
+    [min_len, max_len] words (default [5, 31]); None keeps it."""
     if min(s.image_width, s.image_height) < min_side:
-        return False
-    n_words = len(s.caption.split())
-    return min_len <= n_words <= max_len
+        return "image_size"
+    if not min_len <= len(s.caption.split()) <= max_len:
+        return "caption_length"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +219,7 @@ def tokenize(text):
 class Vocabulary:
     """Bidirectional token<->id map; specials and the 18 entity tags are fixed."""
 
-    def __init__(self, tokens=(), min_freq=1):
-        self.min_freq = min_freq
+    def __init__(self, tokens=()):
         self._tokens = list(SPECIALS) + list(TAG_TOKENS) + list(tokens)
         self._ids = {t: i for i, t in enumerate(self._tokens)}
         if len(self._ids) != len(self._tokens):
@@ -228,10 +230,6 @@ class Vocabulary:
 
     def __contains__(self, token):
         return token in self._ids
-
-    @property
-    def pad_id(self):
-        return self._ids[PAD]
 
     @property
     def bos_id(self):
@@ -250,9 +248,6 @@ class Vocabulary:
 
     def id_of(self, token):
         return self._ids.get(token, self._ids[UNK])
-
-    def token_of(self, idx):
-        return self._tokens[idx]
 
     def encode(self, tokens):
         return [self.id_of(t) for t in tokens]
@@ -296,7 +291,7 @@ def build_vocab(token_streams, min_freq=2):
         if c >= min_freq and t not in reserved
     ]
     kept.sort(key=lambda t: (-counts[t], t))
-    return Vocabulary(kept, min_freq=min_freq)
+    return Vocabulary(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,10 @@ from . import tensor as T
 @dataclass
 class AttentionResult:
     out: T.Tensor                 # [Lq x H]
-    head_weights: list            # per-head [Lq x Lk] weight tensors
+    weights: T.Tensor             # [heads x Lq x Lk]
 
     def averaged_weights(self):
-        acc = self.head_weights[0]
-        for w in self.head_weights[1:]:
-            acc = acc + w
-        return acc * (1.0 / len(self.head_weights))
+        return T.reshape(T.avg_pool_rows(self.weights), self.weights.shape[1:])
 
 
 @dataclass
@@ -54,22 +51,22 @@ def mh_attention(params, pfx, q, k, v, heads, mask=None):
         if not mask.any(axis=1).all():
             raise ValueError("attention row with no attendable key")
         penalty = np.where(mask, 0.0, -1e9).astype(q.data.dtype)
-    qp = T.matmul(q, params[pfx + "/wq"])
-    kp = T.matmul(k, params[pfx + "/wk"])
-    vp = T.matmul(v, params[pfx + "/wv"])
-    ctxs = []
-    weights = []
-    for i in range(heads):
-        lo, hi = i * dh, (i + 1) * dh
-        scores = T.matmul(T.slice_cols(qp, lo, hi),
-                          T.transpose(T.slice_cols(kp, lo, hi))) * scale
-        if mask is not None:
-            scores = scores + T.Tensor(penalty)
-        w = T.softmax(scores, axis=1)
-        weights.append(w)
-        ctxs.append(T.matmul(w, T.slice_cols(vp, lo, hi)))
-    out = T.matmul(T.concat(ctxs, axis=1), params[pfx + "/wo"])
-    return AttentionResult(out=out, head_weights=weights)
+
+    def split(x, name, axes):
+        """Project x and lay its heads out along the first axis."""
+        return T.transpose(T.reshape(T.matmul(x, params[pfx + name]),
+                                     (x.shape[0], heads, dh)), axes)
+
+    qh = split(q, "/wq", (1, 0, 2))   # [heads x Lq x dh]
+    kh = split(k, "/wk", (1, 2, 0))   # [heads x dh x Lk]
+    vh = split(v, "/wv", (1, 0, 2))   # [heads x Lk x dh]
+    scores = T.matmul(qh, kh) * scale
+    if mask is not None:
+        scores = scores + T.Tensor(penalty)
+    w = T.softmax(scores, axis=-1)
+    ctx = T.reshape(T.transpose(T.matmul(w, vh), (1, 0, 2)), (q.shape[0], h))
+    out = T.matmul(ctx, params[pfx + "/wo"])
+    return AttentionResult(out=out, weights=w)
 
 
 def aoa(params, pfx, query_in, k, v, heads, mask=None, drop=None):

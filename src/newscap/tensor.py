@@ -1,8 +1,10 @@
 """Dense float tensors with reverse-mode autodiff, Adam, and a gradient checker.
 
-Deliberately minimal: 2-D matrices (plus scalars) cover everything the
-captioning model needs. Ops record backward closures onto the tensors they
-produce; backward() runs the chain rule over a topological sort.
+Deliberately minimal: 2-D matrices (plus scalars) cover nearly everything
+the captioning model needs; matmul, transpose and reshape also take stacked
+matrices, so attention runs its heads along a leading axis. Ops record
+backward closures onto the tensors they produce; backward() runs the chain
+rule over a topological sort.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 _DTYPE = np.float32
 _GRAD_ENABLED = True
-_DEBUG_FINITE = False
 _DIAG = None
 
 
@@ -32,12 +33,6 @@ def diagnostics():
         yield _DIAG
     finally:
         _DIAG = prev
-
-
-def set_debug_finite(flag):
-    """Enable per-op NaN/Inf assertions (debug builds only)."""
-    global _DEBUG_FINITE
-    _DEBUG_FINITE = bool(flag)
 
 
 def current_dtype():
@@ -83,8 +78,6 @@ class Tensor:
             arr = data
         else:
             arr = np.asarray(data, dtype=_DTYPE)
-        if _DEBUG_FINITE and not np.all(np.isfinite(arr)):
-            raise FloatingPointError("non-finite values in tensor")
         self.data = arr
         self.grad = None
         if _GRAD_ENABLED:
@@ -98,15 +91,8 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self):
         return float(self.data.reshape(-1)[0])
-
-    def detach(self):
-        return Tensor(self.data.copy())
 
     def _accum(self, g):
         if self.grad is None:
@@ -140,9 +126,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, _wrap(-1.0, self))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _wrap(x, like):
@@ -206,27 +189,42 @@ def div(a, b):
 
 
 def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
+    """Product over the last two axes; leading axes broadcast."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ValueError("matmul expects operands of at least 2 axes")
+    if a.data.shape[-1] != b.data.shape[-2]:
         raise ValueError(
             f"matmul shape mismatch: {a.data.shape} x {b.data.shape}"
         )
     out = Tensor(a.data @ b.data, (a, b))
 
     def bw():
-        a._accum(out.grad @ b.data.T)
-        b._accum(a.data.T @ out.grad)
+        a._accum(_unbroadcast(out.grad @ np.swapaxes(b.data, -1, -2),
+                              a.data.shape))
+        b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ out.grad,
+                              b.data.shape))
 
     _register(out, bw)
     return out
 
 
-def transpose(a):
-    out = Tensor(a.data.T, (a,))
+def transpose(a, axes=None):
+    """Permute the axes as np.transpose does (reverse them by default)."""
+    out = Tensor(np.transpose(a.data, axes), (a,))
 
     def bw():
-        a._accum(out.grad.T)
+        a._accum(np.transpose(out.grad,
+                              None if axes is None else np.argsort(axes)))
+
+    _register(out, bw)
+    return out
+
+
+def reshape(a, shape):
+    out = Tensor(a.data.reshape(shape), (a,))
+
+    def bw():
+        a._accum(out.grad.reshape(a.data.shape))
 
     _register(out, bw)
     return out
@@ -473,6 +471,11 @@ def backward(loss):
     for node in reversed(topo):
         if node._bw is not None:
             node._bw()
+        # a closure refers to its own output; unlinking the spent tape lets
+        # reference counting free it instead of the cycle collector, whose
+        # schedule would set the training peak memory
+        node._bw = None
+        node._parents = ()
 
 
 def collect_grads(params):

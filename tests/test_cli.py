@@ -119,6 +119,24 @@ def test_preprocess_all_filtered_exit_2(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+def test_preprocess_report_counts_rejections(tmp_path):
+    raw = tmp_path / "raw.jsonl"
+    good = {"id": "g", "article": "Something happened in town today .",
+            "caption": "A caption with enough words here .",
+            "image": {"width": 300, "height": 300}, "source": "s",
+            "feature_path": ""}
+    small = dict(good, id="i", image={"width": 179, "height": 300})
+    short = dict(good, id="c", caption="too short")
+    raw.write_text("".join(json.dumps(r) + "\n" for r in (small, short, good)))
+    out = tmp_path / "o"
+    assert run(["preprocess", "--raw", str(raw), "--out", str(out),
+                "--min-freq", "1"]) == 0
+    report = json.loads((out / "preprocess_report.json").read_text())
+    assert report["kept"] == 1
+    assert report["rejections"] == {"image_size": 1, "caption_length": 1,
+                                    "encode_error": 0}
+
+
 # ---------------------------------------------------------------------------
 # stats
 
@@ -187,6 +205,18 @@ def test_evaluate_beam_mode(tmp_path, train_dir, prep_dir, synth_dir):
                 "--out", str(d)]) == 0
     report = json.loads((d / "report.json").read_text())
     assert report["decode_mode"] == "beam"
+
+
+def test_beam_below_one_exit_2(tmp_path, train_dir, prep_dir, synth_dir):
+    io = ["--processed", str(prep_dir / "processed.jsonl"),
+          "--vocab", str(prep_dir / "vocab.json"),
+          "--features", str(synth_dir),
+          "--checkpoint", str(train_dir / "checkpoint.bin"), "--limit", "1"]
+    out = tmp_path / "eval"
+    assert run(["evaluate", "--decode", "beam", "--beam", "0",
+                "--out", str(out)] + io) == 2
+    assert not (out / "report.json").exists()
+    assert run(["caption", "--decode", "beam", "--beam", "-1"] + io) == 2
 
 
 def test_missing_checkpoint_exit_2(tmp_path, prep_dir, synth_dir):

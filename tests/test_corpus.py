@@ -75,20 +75,22 @@ def test_load_corpus_aborts_over_ten_percent(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# filter_sample
+# rejection_reason
 
 
 def test_filter_image_threshold():
-    assert not C.filter_sample(raw(w=179))
-    assert not C.filter_sample(raw(h=179))
-    assert C.filter_sample(raw(w=180, h=180))
+    assert C.rejection_reason(raw(w=179)) == "image_size"
+    assert C.rejection_reason(raw(h=179)) == "image_size"
+    assert C.rejection_reason(raw(w=180, h=180)) is None
 
 
 def test_filter_caption_length():
-    assert not C.filter_sample(raw(caption="only four words here", w=500, h=500))
-    assert C.filter_sample(raw(caption=" ".join(["w"] * 20)))
-    assert not C.filter_sample(raw(caption=" ".join(["w"] * 32)))
-    assert C.filter_sample(raw(caption=" ".join(["w"] * 31)))
+    assert C.rejection_reason(raw(caption="only four words here", w=500,
+                                  h=500)) == "caption_length"
+    assert C.rejection_reason(raw(caption=" ".join(["w"] * 20))) is None
+    assert C.rejection_reason(
+        raw(caption=" ".join(["w"] * 32))) == "caption_length"
+    assert C.rejection_reason(raw(caption=" ".join(["w"] * 31))) is None
 
 
 @settings(max_examples=50, deadline=None)
@@ -96,10 +98,10 @@ def test_filter_caption_length():
        st.integers(min_value=0, max_value=5))
 def test_filter_monotone_in_bounds(n_words, widen_lo, widen_hi):
     s = raw(caption=" ".join(["w"] * n_words) or "x")
-    if C.filter_sample(s):
+    if C.rejection_reason(s) is None:
         # widening the caption-length window never drops a kept sample
-        assert C.filter_sample(s, min_len=max(0, 5 - widen_lo),
-                               max_len=31 + widen_hi)
+        assert C.rejection_reason(s, min_len=max(0, 5 - widen_lo),
+                                  max_len=31 + widen_hi) is None
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,8 @@ def test_mh_attention_single_key(params):
     q = T.Tensor(np.random.default_rng(0).normal(size=(2, 8)))
     kv = T.Tensor(np.random.default_rng(1).normal(size=(1, 8)))
     res = E.mh_attention(params, "enc/l0/self", q, kv, kv, heads=2)
-    for w in res.head_weights:
-        assert np.allclose(w.data, 1.0)
+    assert res.weights.shape == (2, 2, 1)
+    assert np.allclose(res.weights.data, 1.0)
 
 
 def test_mh_attention_identical_keys_uniform(params):
@@ -114,8 +114,7 @@ def test_mh_attention_identical_keys_uniform(params):
     k = T.Tensor(np.tile(rng.normal(size=(1, 8)), (4, 1)))
     v = T.Tensor(rng.normal(size=(4, 8)))
     res = E.mh_attention(params, "enc/l0/self", q, k, v, heads=2)
-    for w in res.head_weights:
-        assert np.allclose(w.data, 0.25)
+    assert np.allclose(res.weights.data, 0.25)
 
 
 def test_mh_attention_rows_sum_to_one(params):
@@ -123,9 +122,8 @@ def test_mh_attention_rows_sum_to_one(params):
     q = T.Tensor(rng.normal(size=(3, 8)))
     kv = T.Tensor(rng.normal(size=(4, 8)))
     res = E.mh_attention(params, "enc/l0/self", q, kv, kv, heads=2)
-    for w in res.head_weights:
-        assert np.allclose(w.data.sum(axis=1), 1.0, atol=1e-6)
-        assert (w.data >= 0).all()
+    assert np.allclose(res.weights.data.sum(axis=-1), 1.0, atol=1e-6)
+    assert (res.weights.data >= 0).all()
 
 
 def test_mh_attention_fully_masked_row_errors(params):
@@ -196,13 +194,17 @@ def test_aoa_projector_recovers_attended_vector(params):
     assert np.allclose(out.data, att.out.data, atol=1e-12)
 
 
-def test_aoa_matches_straight_line_oracle(params):
+@pytest.mark.parametrize("heads", [2, 4])
+@pytest.mark.parametrize("mask", [None, np.tril(np.ones((3, 4), dtype=bool))],
+                         ids=["unmasked", "causal"])
+def test_aoa_matches_straight_line_oracle(params, heads, mask):
     rng = np.random.default_rng(7)
     q = rng.normal(size=(3, 8))
     kv = rng.normal(size=(4, 8))
     out, _ = E.aoa(params, "enc/l0/self", T.Tensor(q), T.Tensor(kv),
-                   T.Tensor(kv), heads=2)
-    expect = _oracle_aoa(params, "enc/l0/self", q, kv, kv, heads=2)
+                   T.Tensor(kv), heads=heads, mask=mask)
+    expect = _oracle_aoa(params, "enc/l0/self", q, kv, kv, heads=heads,
+                         mask=mask)
     assert np.allclose(out.data, expect, atol=1e-6)
 
 
@@ -221,10 +223,11 @@ def test_aoa_finite_differences(params):
 
 
 def test_averaged_weights():
-    w1 = T.Tensor(np.array([[1.0, 0.0]]))
-    w2 = T.Tensor(np.array([[0.0, 1.0]]))
-    res = E.AttentionResult(out=None, head_weights=[w1, w2])
-    assert np.allclose(res.averaged_weights().data, [[0.5, 0.5]])
+    w = T.Tensor(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
+    res = E.AttentionResult(out=None, weights=w)
+    avg = res.averaged_weights()
+    assert avg.shape == (1, 2)
+    assert np.allclose(avg.data, [[0.5, 0.5]])
 
 
 # ---------------------------------------------------------------------------

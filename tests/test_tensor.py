@@ -263,6 +263,15 @@ def test_unreachable_param_gets_zero_grad():
     lambda p: -T.sum_all(T.log_clamped(T.softmax(p["w"], axis=1))),
     lambda p: T.sum_all(T.scatter_cols(p["w"], [2, 0, 2, 1], 3)
                         * T.slice_cols(p["u"], 1, 4)),
+    # stacked operand against a 2-D weight: the weight's gradient sums over
+    # the leading axis
+    lambda p: T.sum_all(T.tanh(T.matmul(T.reshape(p["w"], (2, 2, 2)),
+                                        p["u"]))),
+    lambda p: T.sum_all(T.sigmoid(T.matmul(
+        T.reshape(p["w"], (2, 2, 2)),
+        T.transpose(T.reshape(p["u"], (2, 2, 2)), (0, 2, 1))))),
+    lambda p: T.sum_all(T.transpose(T.reshape(p["w"], (2, 2, 2)), (1, 2, 0))
+                        * T.reshape(p["u"] * p["g"], (2, 2, 2))),
 ])
 def test_per_op_finite_differences(build):
     with T.precision("float64"):
@@ -360,10 +369,9 @@ def test_no_grad_drops_tape():
     assert out._bw is None and out._parents == ()
 
 
-def test_debug_finite_mode():
-    T.set_debug_finite(True)
-    try:
-        with pytest.raises(FloatingPointError):
-            T.Tensor(np.array([np.nan]))
-    finally:
-        T.set_debug_finite(False)
+def test_backward_unlinks_spent_tape():
+    x = t64([[1.0, 2.0]])
+    mid = T.tanh(x)
+    T.backward(T.sum_all(mid * 2.0))
+    assert mid._bw is None and mid._parents == ()
+    assert np.allclose(x.grad, 2.0 * (1.0 - np.tanh([[1.0, 2.0]]) ** 2))
