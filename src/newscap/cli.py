@@ -3,8 +3,8 @@ evaluate, gradcheck.
 
 Config precedence is CLI flag > config file > built-in default; every run
 writes a manifest (resolved config plus content hashes of its inputs) into
-the output directory. Exit codes: 0 success, 1 internal error, 2 input
-validation failure, 3 acceptance-check failure.
+the output directory. Exit codes: 0 success, 1 internal error, 2 bad input
+or configuration, 3 numeric-check failure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import corpus, runtime, synth
+from . import tensor as T
 from .corpus import CorpusError
 from .features import FeatureStore
 from .gradcheck import model_grad_check
@@ -54,9 +55,12 @@ def _load_config_file(path):
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise InputError(f"cannot read config file {path}: {e}")
+    if not isinstance(cfg, dict):
+        raise InputError(f"config file {path} must hold a JSON object")
+    return cfg
 
 
 def _ensure_out(args):
@@ -163,14 +167,16 @@ def cmd_stats(args):
 
 def _resolved_train_config(args, vocab):
     cfg_file = _load_config_file(args.config)
-    model_d = dict(cfg_file.get("model", {}))
-    model_d["vocab_size"] = len(vocab)
-    model_cfg = ModelConfig.from_dict(model_d)
     train_d = {k: v for k, v in cfg_file.items() if k != "model"}
     train_d.pop("min_freq", None)
     if args.seed is not None:
         train_d["seed"] = args.seed
-    cfg = TrainConfig(**train_d, model=model_cfg)
+    try:
+        model_d = dict(cfg_file.get("model", {}))
+        model_d["vocab_size"] = len(vocab)
+        cfg = TrainConfig(**train_d, model=ModelConfig.from_dict(model_d))
+    except (TypeError, ValueError) as e:
+        raise InputError(f"bad config: {e}")
     cfg.model.dropout = cfg.dropout
     return cfg
 
@@ -249,10 +255,12 @@ def cmd_caption(args):
     model = _load_model(args, vocab)
     samples = samples[:args.limit or 1]
     _check_decode(args, model, samples)
+    with T.no_grad():
+        positions = model.position_table()
     for s in samples:
         raw = runtime.decode_sample(
             model, s, store.get(s.feature_ref), decode=args.decode,
-            beam=args.beam)
+            beam=args.beam, positions=positions)
         cleaned, _ = runtime.tag_clean(raw, s.entities)
         print(f"{s.id}  pre-TC : {' '.join(raw)}")
         print(f"{s.id}  post-TC: {' '.join(cleaned)}")
@@ -365,6 +373,9 @@ def main(argv=None):
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (runtime.TrainingDiverged, FloatingPointError) as e:
+        print(f"numeric failure: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     except Exception as e:  # internal error
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

@@ -168,14 +168,14 @@ def load_corpus(path, report=None):
         )
 
 
-def rejection_reason(s, min_len=MIN_CAPTION_WORDS, max_len=MAX_CAPTION_WORDS,
-                     min_side=MIN_IMAGE_SIDE):
+def rejection_reason(s, min_words=MIN_CAPTION_WORDS,
+                     max_words=MAX_CAPTION_WORDS, min_side=MIN_IMAGE_SIDE):
     """Why the filters drop a sample: "image_size" when an image side is
     below min_side, "caption_length" when the caption is outside
-    [min_len, max_len] words (default [5, 31]); None keeps it."""
+    [min_words, max_words] words (default [5, 31]); None keeps it."""
     if min(s.image_width, s.image_height) < min_side:
         return "image_size"
-    if not min_len <= len(s.caption.split()) <= max_len:
+    if not min_words <= len(s.caption.split()) <= max_words:
         return "caption_length"
     return None
 

@@ -44,16 +44,15 @@ def masked_self_aoa(params, pfx, x, heads, drop=None, lengths=None):
 
 def multimodal_aoa(params, pfx, xa, vproj, art, ent, heads, drop=None):
     """Three AoA blocks sharing the query; returns attended contexts plus the
-    head-averaged article/entity attention weights."""
+    article and entity attention results (None without entities)."""
     v_ctx, _ = aoa(params, pfx + "/img", xa, vproj, vproj, heads, drop=drop)
     a_ctx, a_att = aoa(params, pfx + "/art", xa, art, art, heads, drop=drop)
     if ent is not None:
         e_ctx, e_att = aoa(params, pfx + "/ent", xa, ent, ent, heads, drop=drop)
-        a_e = e_att.averaged_weights()
     else:
         e_ctx = T.Tensor(np.zeros(xa.data.shape, dtype=xa.data.dtype))
-        a_e = None
-    return v_ctx, a_ctx, e_ctx, a_att.averaged_weights(), a_e
+        e_att = None
+    return v_ctx, a_ctx, e_ctx, a_att, e_att
 
 
 def fuse_and_project(params, pfx, xa, v_ctx, a_ctx, e_ctx, drop=None):
@@ -92,7 +91,7 @@ def pointer_mix(params, x0, v_ctx, a_ctx, e_ctx, a_v, a_e, p_s,
 
 
 def decode_distributions(params, cfg, input_ids, contexts, drop=None,
-                         collect_steps=False, pos_cache=None, lengths=None):
+                         collect_steps=False, lengths=None):
     """Run the decoder stack on an input prefix; returns per-position final
     distributions. input_ids is BOS + tokens (targets are not consumed here).
 
@@ -101,19 +100,20 @@ def decode_distributions(params, cfg, input_ids, contexts, drop=None,
     prefix: the distribution after its last token. Only those rows go
     through the output head and the pointer mix.
     """
-    x0 = embed_positions(params, cfg, input_ids, pos_cache=pos_cache,
+    x0 = embed_positions(params, input_ids, contexts.positions,
                          lengths=lengths)
     x = x0
-    a_v = a_e = None
-    v_ctx = a_ctx = e_ctx = None
     for l in range(cfg.dec_layers):
         xa = masked_self_aoa(params, f"dec/l{l}/self", x, cfg.heads, drop=drop,
                              lengths=lengths)
-        v_ctx, a_ctx, e_ctx, a_v, a_e = multimodal_aoa(
+        v_ctx, a_ctx, e_ctx, a_att, e_att = multimodal_aoa(
             params, f"dec/l{l}", xa, contexts.vproj, contexts.article,
             contexts.entities, cfg.heads, drop=drop)
         x = fuse_and_project(params, f"dec/l{l}", xa, v_ctx, a_ctx, e_ctx,
                              drop=drop)
+    # the pointer reads the last layer's head-averaged copy attention only
+    a_v = a_att.averaged_weights()
+    a_e = None if e_att is None else e_att.averaged_weights()
     if lengths is not None:
         last = np.cumsum(lengths) - 1
         x, x0, v_ctx, a_ctx, e_ctx, a_v, a_e = (
@@ -152,14 +152,13 @@ def nll_loss(p_star, target_ids):
 
 
 def forward_teacher_forced(params, cfg, caption_ids, contexts, drop=None,
-                           collect_steps=False, pos_cache=None):
+                           collect_steps=False):
     """Teacher-forced decoder pass over a full caption (BOS ... EOS)."""
     if len(caption_ids) < 2:
         raise ValueError("caption must contain BOS and at least one target")
     inputs = caption_ids[:-1]
     targets = caption_ids[1:]
     out = decode_distributions(params, cfg, inputs, contexts, drop=drop,
-                               collect_steps=collect_steps,
-                               pos_cache=pos_cache)
+                               collect_steps=collect_steps)
     loss, per_token = nll_loss(out.p_star, targets)
     return loss, per_token, out

@@ -86,14 +86,19 @@ def ffn(params, pfx, x, drop=None):
     return _drop(T.matmul(h, params[pfx + "/w2"]) + params[pfx + "/b2"], drop)
 
 
-def lstm_rows(params, pfx, x):
-    """Unidirectional LSTM over the rows of x [L x H] -> [L x H]."""
+def position_lstm(params, cfg, length):
+    """The position table: an LSTM over the first `length` position
+    embeddings, [length x H]. It depends only on the parameters."""
+    if length > cfg.max_pos:
+        raise ValueError(
+            f"sequence length {length} exceeds position table {cfg.max_pos}")
+    x = T.slice_rows(params["emb/pos"], 0, length)
+    wx, wh, b = (params["emb/lstm/" + k] for k in ("wx", "wh", "b"))
     h_dim = x.shape[1]
-    wx, wh, b = params[pfx + "/wx"], params[pfx + "/wh"], params[pfx + "/b"]
     h = T.Tensor(np.zeros((1, h_dim), dtype=x.data.dtype))
     c = T.Tensor(np.zeros((1, h_dim), dtype=x.data.dtype))
     outs = []
-    for t in range(x.shape[0]):
+    for t in range(length):
         row = T.slice_rows(x, t, t + 1)
         gates = T.matmul(row, wx) + T.matmul(h, wh) + b
         i = T.sigmoid(T.slice_cols(gates, 0, h_dim))
@@ -106,43 +111,23 @@ def lstm_rows(params, pfx, x):
     return T.concat(outs, axis=0)
 
 
-def position_lstm(params, cfg, length):
-    """LSTM-updated position embeddings for positions 1..length."""
-    if length > cfg.max_pos:
-        raise ValueError(
-            f"sequence length {length} exceeds position table {cfg.max_pos}")
-    return lstm_rows(params, "emb/lstm", T.slice_rows(params["emb/pos"], 0, length))
-
-
-def embed_positions(params, cfg, ids, pos_cache=None, lengths=None):
-    """Word embedding plus LSTM-updated position embedding.
+def embed_positions(params, ids, positions, lengths=None):
+    """Word embedding plus the position table's row for each position.
 
     With `lengths`, ids stacks sequences of those lengths row-wise and each
-    one's positions start again at 1. The position path depends only on
-    parameters, so callers inside one forward/backward step may share it via
-    pos_cache (a mutable dict).
+    one's positions start again at 1.
     """
     n = len(ids)
     if n == 0:
         raise ValueError("cannot embed an empty token sequence")
-    words = T.embedding_lookup(params["emb/word"], ids)
     span = n if lengths is None else max(lengths)
-    if pos_cache is not None:
-        cached = pos_cache.get("lstm")
-        if cached is None or cached.shape[0] < span:
-            cached = position_lstm(params, cfg,
-                                   max(span, pos_cache.get("min_len", 0)))
-            pos_cache["lstm"] = cached
-    else:
-        cached = position_lstm(params, cfg, span)
-    if span < n:
-        pos = T.embedding_lookup(
-            cached, np.concatenate([np.arange(k) for k in lengths]))
-    elif cached.shape[0] == n:
-        pos = cached
-    else:
-        pos = T.slice_rows(cached, 0, n)
-    return words + pos
+    if span > positions.shape[0]:
+        raise ValueError(f"sequence length {span} exceeds position table "
+                         f"{positions.shape[0]}")
+    rows = np.arange(n) if lengths is None else \
+        np.concatenate([np.arange(k) for k in lengths])
+    return T.embedding_lookup(params["emb/word"], ids) + \
+        T.embedding_lookup(positions, rows)
 
 
 def project_image(params, grid):
@@ -164,17 +149,17 @@ def visual_selective(params, pfx, t_tilde, vproj, heads, drop=None):
                         params[pfx + "/ln_g"], params[pfx + "/ln_b"])
 
 
-def encode_text(params, cfg, ids, vproj, drop=None, pos_cache=None):
+def encode_text(params, cfg, ids, vproj, positions, drop=None):
     """Full text encoder: embeddings, then per layer self-AoA + visual gate."""
-    x = embed_positions(params, cfg, ids, pos_cache=pos_cache)
+    x = embed_positions(params, ids, positions)
     for l in range(cfg.enc_layers):
         x, _ = aoa(params, f"enc/l{l}/self", x, x, x, cfg.heads, drop=drop)
         x = visual_selective(params, f"enc/l{l}/vs", x, vproj, cfg.heads, drop=drop)
     return x
 
 
-def encode_entities(params, cfg, mention_token_ids, vproj, drop=None,
-                    pos_cache=None):
+def encode_entities(params, cfg, mention_token_ids, vproj, positions,
+                    drop=None):
     """Encode entity mentions with the shared text encoder.
 
     mention_token_ids is a list of token-id lists, one per mention. The
@@ -184,11 +169,10 @@ def encode_entities(params, cfg, mention_token_ids, vproj, drop=None,
     groups = [ids for ids in mention_token_ids if ids]
     if not groups:
         return None
-    flat = [t for g in groups for t in g]
-    enc = encode_text(params, cfg, flat, vproj, drop=drop, pos_cache=pos_cache)
-    rows = []
-    offset = 0
-    for g in groups:
-        rows.append(T.avg_pool_rows(T.slice_rows(enc, offset, offset + len(g))))
-        offset += len(g)
-    return T.concat(rows, axis=0)
+    sizes = [len(g) for g in groups]
+    enc = encode_text(params, cfg, [t for g in groups for t in g], vproj,
+                      positions, drop=drop)
+    # one segment sum per mention, divided so that it rounds as a mean
+    mention = np.repeat(np.arange(len(groups)), sizes)
+    sums = T.transpose(T.scatter_cols(T.transpose(enc), mention, len(groups)))
+    return sums / np.asarray(sizes, dtype=enc.data.dtype)[:, None]

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import tensor as T
 from . import decoder as D
-from .encoder import Dropout, encode_entities, encode_text, project_image
+from . import encoder as E
 
 
 @dataclass
@@ -29,6 +29,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.hidden % self.heads:
             raise ValueError("heads must divide hidden size")
+        if self.dec_layers < 1:
+            raise ValueError("the decoder needs at least one layer")
 
     def to_dict(self):
         return asdict(self)
@@ -109,6 +111,7 @@ class EncodedContexts:
     article_map: np.ndarray    # per article position -> vocabulary id to copy
     entity_map: np.ndarray     # per mention -> vocabulary id to copy
     mentions: list             # EntityMentions aligned with entity rows
+    positions: T.Tensor        # position table for article, mentions, prefixes
 
 
 def build_copy_maps(sample, vocab):
@@ -154,16 +157,24 @@ class CaptionModel:
     def dropout_ctx(self, rng):
         if self.cfg.dropout <= 0.0:
             return None
-        return Dropout(self.cfg.dropout, rng)
+        return E.Dropout(self.cfg.dropout, rng)
 
-    def encode(self, sample, feat_grid, drop=None, pos_cache=None):
-        vproj = project_image(self.params, feat_grid)
-        article = encode_text(self.params, self.cfg, sample.article_ids, vproj,
-                              drop=drop, pos_cache=pos_cache)
+    def position_table(self, length=None):
+        """The position table over `length` (default cfg.max_pos) positions;
+        build it once where the parameters stay fixed."""
+        return E.position_lstm(self.params, self.cfg,
+                               length or self.cfg.max_pos)
+
+    def encode(self, sample, feat_grid, drop=None, positions=None):
+        if positions is None:
+            positions = self.position_table()
+        vproj = E.project_image(self.params, feat_grid)
+        article = E.encode_text(self.params, self.cfg, sample.article_ids,
+                                vproj, positions, drop=drop)
         mentions = [m for m in sample.entities if m.end > m.start]
         groups = [sample.article_ids[m.start:m.end] for m in mentions]
-        entities = encode_entities(self.params, self.cfg, groups, vproj,
-                                   drop=drop, pos_cache=pos_cache)
+        entities = E.encode_entities(self.params, self.cfg, groups, vproj,
+                                     positions, drop=drop)
         article_map, entity_map = build_copy_maps(sample, self.vocab)
         return EncodedContexts(
             article=article,
@@ -172,15 +183,15 @@ class CaptionModel:
             article_map=article_map,
             entity_map=entity_map,
             mentions=mentions,
+            positions=positions,
         )
 
-    def loss(self, sample, contexts, drop=None, collect_steps=False,
-             pos_cache=None):
+    def loss(self, sample, contexts, drop=None, collect_steps=False):
         return D.forward_teacher_forced(
             self.params, self.cfg, sample.caption_ids, contexts, drop=drop,
-            collect_steps=collect_steps, pos_cache=pos_cache)
+            collect_steps=collect_steps)
 
-    def next_token_dist(self, prefixes, contexts, pos_cache=None):
+    def next_token_dist(self, prefixes, contexts):
         """Distribution over the next token after a BOS-rooted prefix: [V]
         for one flat prefix, [k x V] for a list of k prefixes, all stepped
         by one decoder call."""
@@ -188,5 +199,5 @@ class CaptionModel:
         batch = [prefixes] if single else prefixes
         out = D.decode_distributions(
             self.params, self.cfg, [t for p in batch for t in p], contexts,
-            pos_cache=pos_cache, lengths=[len(p) for p in batch])
+            lengths=[len(p) for p in batch])
         return out.p_star.data[0] if single else out.p_star.data

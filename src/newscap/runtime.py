@@ -37,15 +37,7 @@ class TrainConfig:
     model: ModelConfig = None
 
     def to_dict(self):
-        d = asdict(self)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        if d.get("model") is not None:
-            d["model"] = ModelConfig.from_dict(d["model"])
-        return cls(**d)
+        return asdict(self)
 
 
 @dataclass
@@ -210,7 +202,11 @@ def beam_search(step_fn, bos_id, eos_id, max_len, beam, alpha=0.7):
         todo = list(dict.fromkeys(
             k for k in map(tuple, prefixes) if k not in table))
         if todo:
-            table.update(zip(todo, step_fn(todo)))
+            rows = np.asarray(step_fn(todo))
+            if not np.isfinite(rows).all():
+                raise FloatingPointError(
+                    "non-finite next-token distribution in beam search")
+            table.update(zip(todo, rows))
 
     def logp(dist, ids):
         return np.log(np.maximum(dist[ids], 1e-12))
@@ -263,19 +259,13 @@ def beam_search(step_fn, bos_id, eos_id, max_len, beam, alpha=0.7):
     return greedy[0] if eos_score(*greedy) > eos_score(*best) else best[0]
 
 
-def beam_decode(model, contexts, beam=5, max_len=MAX_DECODE_LEN, alpha=0.7,
-                pos_cache=None):
+def beam_decode(model, contexts, beam=5, max_len=MAX_DECODE_LEN, alpha=0.7):
     """Beam search over the model; never returns a sequence scoring below the
-    greedy one under the same normalized scoring function.
-
-    Parameters are fixed during decoding, so position embeddings for all
-    prefix lengths are computed once into pos_cache (a fresh one if None).
-    """
-    cache = {"min_len": max_len} if pos_cache is None else pos_cache
+    greedy one under the same normalized scoring function. Prefixes are
+    embedded with the position table the contexts carry."""
     with T.no_grad():
         return beam_search(
-            lambda prefixes: model.next_token_dist(prefixes, contexts,
-                                                   pos_cache=cache),
+            lambda prefixes: model.next_token_dist(prefixes, contexts),
             model.vocab.bos_id, model.vocab.eos_id, max_len, beam, alpha)
 
 
@@ -357,16 +347,17 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
             batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
             T.zero_grads(model.params)
             inv = 1.0 / len(batch)
-            # position embeddings depend only on parameters; share them
-            # across the batch and run one backward over the summed loss
-            pos_cache = {"min_len": max(
-                max(len(s.article_ids), len(s.caption_ids) - 1) for s in batch)}
+            # the parameters stay fixed within a batch: one position table,
+            # on the tape, for its longest sequence, and one backward over
+            # the summed loss
+            positions = model.position_table(max(
+                max(len(s.article_ids), len(s.caption_ids) - 1) for s in batch))
             total = None
             for s in batch:
                 drop = model.dropout_ctx(rng)
                 ctx = model.encode(s, feature_store.get(s.feature_ref),
-                                   drop=drop, pos_cache=pos_cache)
-                loss, _, _ = model.loss(s, ctx, drop=drop, pos_cache=pos_cache)
+                                   drop=drop, positions=positions)
+                loss, _, _ = model.loss(s, ctx, drop=drop)
                 if not np.isfinite(loss.data).all():
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, sample {s.id}")
@@ -409,16 +400,15 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
 
 
 def decode_sample(model, sample, feat_grid, decode="greedy", beam=5,
-                  max_len=MAX_DECODE_LEN):
-    """The one inference path: encode and search without a tape, sharing one
-    position cache between the encoder and every decoding step."""
+                  max_len=MAX_DECODE_LEN, positions=None):
+    """The one inference path: encode and search without a tape. `positions`
+    is the model's position table; the full one is built when it is None."""
     if decode not in ("greedy", "beam"):
         raise ValueError(f"unknown decode mode {decode!r}")
-    cache = {"min_len": max(len(sample.article_ids), max_len)}
     with T.no_grad():
-        ctx = model.encode(sample, feat_grid, pos_cache=cache)
+        ctx = model.encode(sample, feat_grid, positions=positions)
         ids = beam_decode(model, ctx, beam=beam if decode == "beam" else 1,
-                          max_len=max_len, pos_cache=cache)
+                          max_len=max_len)
     return model.vocab.decode(ids)
 
 
@@ -429,9 +419,12 @@ def evaluate(model, samples, feature_store, decode="greedy", beam=5,
     pre_pairs = []
     post_pairs = []
     unresolved = 0
+    with T.no_grad():
+        positions = model.position_table()
     for s in samples:
         raw = decode_sample(model, s, feature_store.get(s.feature_ref),
-                            decode=decode, beam=beam, max_len=max_len)
+                            decode=decode, beam=beam, max_len=max_len,
+                            positions=positions)
         cleaned, n_un = tag_clean(raw, s.entities)
         unresolved += n_un
         ref_entities = [m.text for m in s.caption_entities] \

@@ -242,6 +242,11 @@ def _train_with(tmp_path, prep, synth, max_pos=128, **train):
                model={"hidden": 8, "heads": 2, "enc_layers": 1,
                       "dec_layers": 1, "k_patches": 9, "feat_dim": 32,
                       "max_pos": max_pos})
+    return _train_config(tmp_path, prep, synth, cfg)
+
+
+def _train_config(tmp_path, prep, synth, cfg):
+    """Run `train` with `cfg` written as its JSON config file."""
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "t"
@@ -260,6 +265,31 @@ def test_train_zero_epochs_exit_0(tmp_path, prep_dir, synth_dir, capsys):
     assert rc == 0
     assert (out / "checkpoint.bin").exists()
     assert "no validation ran" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("cfg", [
+    {"max_epochs": 1, "no_such_field": 1},
+    [1, 2],
+    {"max_epochs": 1, "model": {"hidden": 15, "heads": 2, "k_patches": 9,
+                                "feat_dim": 32, "max_pos": 128}},
+    {"max_epochs": 1, "model": {"hidden": 8, "heads": 2, "dec_layers": 0,
+                                "k_patches": 9, "feat_dim": 32,
+                                "max_pos": 128}},
+], ids=["unknown-key", "not-an-object", "heads-not-dividing-hidden",
+        "no-decoder-layer"])
+def test_train_bad_config_exit_2(tmp_path, prep_dir, synth_dir, capsys, cfg):
+    rc, out = _train_config(tmp_path, prep_dir, synth_dir, cfg)
+    assert rc == 2
+    assert "internal error" not in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
+
+
+def test_train_diverged_exit_3(tmp_path, prep_dir, synth_dir, capsys):
+    rc, out = _train_with(tmp_path, prep_dir, synth_dir, base_lr=1e6,
+                          warmup=1)
+    assert rc == 3
+    assert "numeric failure" in capsys.readouterr().err
+    assert not (out / "checkpoint.bin").exists()
 
 
 def test_train_max_pos_below_article_exit_2(tmp_path):

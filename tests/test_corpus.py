@@ -100,8 +100,8 @@ def test_filter_monotone_in_bounds(n_words, widen_lo, widen_hi):
     s = raw(caption=" ".join(["w"] * n_words) or "x")
     if C.rejection_reason(s) is None:
         # widening the caption-length window never drops a kept sample
-        assert C.rejection_reason(s, min_len=max(0, 5 - widen_lo),
-                                  max_len=31 + widen_hi) is None
+        assert C.rejection_reason(s, min_words=max(0, 5 - widen_lo),
+                                  max_words=31 + widen_hi) is None
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,10 @@ def test_multimodal_single_article_row_attention_is_one():
     xa = T.Tensor(rng.normal(size=(2, 8)))
     vproj = T.Tensor(rng.normal(size=(3, 8)))
     art = T.Tensor(rng.normal(size=(1, 8)))
-    _, _, _, a_v, a_e = D.multimodal_aoa(params, "dec/l0", xa, vproj, art,
-                                         None, heads=2)
-    assert np.allclose(a_v.data, 1.0)
-    assert a_e is None
+    _, _, _, a_att, e_att = D.multimodal_aoa(params, "dec/l0", xa, vproj, art,
+                                             None, heads=2)
+    assert np.allclose(a_att.averaged_weights().data, 1.0)
+    assert e_att is None
 
 
 def test_multimodal_empty_entities_zero_context():
@@ -111,10 +111,11 @@ def test_multimodal_empty_entities_zero_context():
     xa = T.Tensor(rng.normal(size=(2, 8)))
     vproj = T.Tensor(rng.normal(size=(3, 8)))
     art = T.Tensor(rng.normal(size=(4, 8)))
-    _, _, e_ctx, a_v, a_e = D.multimodal_aoa(params, "dec/l0", xa, vproj, art,
+    _, _, e_ctx, a_att, _ = D.multimodal_aoa(params, "dec/l0", xa, vproj, art,
                                              None, heads=2)
     assert np.array_equal(e_ctx.data, np.zeros((2, 8)))
-    assert np.allclose(a_v.data.sum(axis=1), 1.0, atol=1e-6)
+    assert np.allclose(a_att.averaged_weights().data.sum(axis=1), 1.0,
+                       atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

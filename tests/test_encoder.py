@@ -36,30 +36,33 @@ def fp64():
         yield
 
 
+def table(params, length=None):
+    """The position table over `length` positions (default all of them)."""
+    return E.position_lstm(params, tiny_cfg(), length or tiny_cfg().max_pos)
+
+
 # ---------------------------------------------------------------------------
 # position embeddings
 
 
 def test_embed_positions_zero_lstm_gives_word_embeddings(params):
-    cfg = tiny_cfg()
     for name in ("emb/lstm/wx", "emb/lstm/wh", "emb/lstm/b"):
         params[name].data[:] = 0.0
-    out = E.embed_positions(params, cfg, [0, 3, 1])
+    out = E.embed_positions(params, [0, 3, 1], table(params))
     words = params["emb/word"].data[[0, 3, 1]]
     assert np.array_equal(out.data, words)
 
 
 def test_embed_positions_position_sensitivity(params):
-    cfg = tiny_cfg()
-    a = E.embed_positions(params, cfg, [1, 2]).data
-    b = E.embed_positions(params, cfg, [2, 1]).data
+    a = E.embed_positions(params, [1, 2], table(params)).data
+    b = E.embed_positions(params, [2, 1], table(params)).data
     assert not np.allclose(a[0], b[0])
 
 
 def test_embed_positions_single_step_matches_hand_lstm(params):
     cfg = tiny_cfg()
     h_dim = cfg.hidden
-    out = E.embed_positions(params, cfg, [2]).data[0]
+    out = E.embed_positions(params, [2], table(params)).data[0]
     # hand-evaluated single LSTM cell over the first position row
     p0 = params["emb/pos"].data[0]
     gates = p0 @ params["emb/lstm/wx"].data + params["emb/lstm/b"].data[0]
@@ -80,20 +83,35 @@ def test_embed_positions_single_step_matches_hand_lstm(params):
 def test_embed_positions_length_checks(params):
     cfg = tiny_cfg()
     with pytest.raises(ValueError):
-        E.embed_positions(params, cfg, [])
+        E.embed_positions(params, [], table(params))
     with pytest.raises(ValueError):
-        E.embed_positions(params, cfg, [0] * (cfg.max_pos + 1))
+        E.embed_positions(params, [0] * (cfg.max_pos + 1),
+                          table(params))
+    with pytest.raises(ValueError):
+        E.embed_positions(params, [0, 1, 2], table(params, 2))
+    with pytest.raises(ValueError):
+        E.embed_positions(params, [0, 1, 2, 3], table(params, 2),
+                          lengths=[1, 3])
 
 
-def test_embed_positions_cache_consistency(params):
-    cfg = tiny_cfg()
-    plain = E.embed_positions(params, cfg, [0, 1, 2]).data
-    cache = {"min_len": 8}
-    cached = E.embed_positions(params, cfg, [0, 1, 2], pos_cache=cache).data
-    assert np.array_equal(plain, cached)
-    # second use reuses the cached rows
-    again = E.embed_positions(params, cfg, [3, 3], pos_cache=cache).data
-    assert np.array_equal(again, E.embed_positions(params, cfg, [3, 3]).data)
+@pytest.mark.parametrize("ids,lengths", [
+    ([0, 1, 2], None),
+    ([0, 1, 2, 3, 3, 0], [2, 3, 1]),
+], ids=["flat", "stacked"])
+def test_embed_positions_longer_table_is_bit_identical(params, ids, lengths):
+    exact = table(params, len(ids) if lengths is None else max(lengths))
+    full = table(params)
+    assert full.shape[0] > exact.shape[0]
+    a = E.embed_positions(params, ids, exact, lengths=lengths).data
+    b = E.embed_positions(params, ids, full, lengths=lengths).data
+    assert np.array_equal(a, b)
+    if lengths is not None:
+        # each stacked sequence embeds as it would on its own
+        start = 0
+        for k in lengths:
+            alone = E.embed_positions(params, ids[start:start + k], full)
+            assert np.array_equal(b[start:start + k], alone.data)
+            start += k
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +330,8 @@ def test_visual_selective_matches_straight_line_oracle(params):
 def test_encode_text_shape_and_determinism(params):
     cfg = tiny_cfg()
     vproj = T.Tensor(np.random.default_rng(13).normal(size=(3, 8)))
-    a = E.encode_text(params, cfg, [0, 1, 2, 3, 1], vproj)
-    b = E.encode_text(params, cfg, [0, 1, 2, 3, 1], vproj)
+    a = E.encode_text(params, cfg, [0, 1, 2, 3, 1], vproj, table(params))
+    b = E.encode_text(params, cfg, [0, 1, 2, 3, 1], vproj, table(params))
     assert a.shape == (5, 8)
     assert np.array_equal(a.data, b.data)
 
@@ -324,14 +342,15 @@ def test_encode_text_image_reaches_text(params):
     v1 = rng.normal(size=(3, 8))
     v2 = v1.copy()
     v2[0, 0] += 1.0
-    a = E.encode_text(params, cfg, [0, 1], T.Tensor(v1)).data
-    b = E.encode_text(params, cfg, [0, 1], T.Tensor(v2)).data
+    a = E.encode_text(params, cfg, [0, 1], T.Tensor(v1), table(params)).data
+    b = E.encode_text(params, cfg, [0, 1], T.Tensor(v2), table(params)).data
     assert not np.allclose(a, b)
 
 
 def test_encode_text_empty_input(params):
     with pytest.raises(ValueError):
-        E.encode_text(params, tiny_cfg(), [], T.Tensor(np.zeros((3, 8))))
+        E.encode_text(params, tiny_cfg(), [], T.Tensor(np.zeros((3, 8))),
+                      table(params))
 
 
 # ---------------------------------------------------------------------------
@@ -341,25 +360,63 @@ def test_encode_text_empty_input(params):
 def test_encode_entities_empty_returns_none(params):
     cfg = tiny_cfg()
     vproj = T.Tensor(np.zeros((3, 8)))
-    assert E.encode_entities(params, cfg, [], vproj) is None
-    assert E.encode_entities(params, cfg, [[]], vproj) is None
+    assert E.encode_entities(params, cfg, [], vproj, table(params)) is None
+    assert E.encode_entities(params, cfg, [[]], vproj, table(params)) is None
 
 
 def test_encode_entities_single_token_mention(params):
     cfg = tiny_cfg()
     vproj = T.Tensor(np.random.default_rng(15).normal(size=(3, 8)))
-    enc = E.encode_text(params, cfg, [2], vproj)
-    ents = E.encode_entities(params, cfg, [[2]], vproj)
+    enc = E.encode_text(params, cfg, [2], vproj, table(params))
+    ents = E.encode_entities(params, cfg, [[2]], vproj, table(params))
     assert np.allclose(ents.data, enc.data, atol=1e-12)
 
 
 def test_encode_entities_mean_pool(params):
     cfg = tiny_cfg()
     vproj = T.Tensor(np.random.default_rng(16).normal(size=(3, 8)))
-    enc = E.encode_text(params, cfg, [1, 3], vproj)
-    ents = E.encode_entities(params, cfg, [[1, 3]], vproj)
+    enc = E.encode_text(params, cfg, [1, 3], vproj, table(params))
+    ents = E.encode_entities(params, cfg, [[1, 3]], vproj, table(params))
     assert ents.shape == (1, 8)
     assert np.allclose(ents.data[0], enc.data.mean(axis=0), atol=1e-12)
+
+
+def _pooled_by_loop(enc, sizes):
+    """Per-mention mean of the encoded rows: slice, pool, concatenate."""
+    rows, offset = [], 0
+    for k in sizes:
+        rows.append(T.avg_pool_rows(T.slice_rows(enc, offset, offset + k)))
+        offset += k
+    return T.concat(rows, axis=0)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_encode_entities_matches_per_mention_loop(dtype):
+    cfg = tiny_cfg()
+    groups = [[2], [0, 1, 3], [3, 1]]
+    flat = [t for g in groups for t in g]
+    with T.precision(dtype):
+        params = init_params(cfg, seed=5)
+        vproj = T.Tensor(
+            np.random.default_rng(18).normal(size=(3, 8)).astype(dtype))
+        weights = np.random.default_rng(19).normal(size=(len(groups), 8))
+
+        def run(pool):
+            """Pooled mentions and the parameter gradients of a weighted sum."""
+            T.zero_grads(params)
+            pooled = pool(table(params))
+            T.backward(T.sum_all(pooled * weights))
+            return pooled.data, T.collect_grads(params)
+
+        got, got_grads = run(lambda pos: E.encode_entities(
+            params, cfg, groups + [[]], vproj, pos))
+        want, want_grads = run(lambda pos: _pooled_by_loop(
+            E.encode_text(params, cfg, flat, vproj, pos),
+            [len(g) for g in groups]))
+    assert got.dtype == np.dtype(dtype)
+    assert np.array_equal(got, want)
+    for name, g in got_grads.items():
+        assert np.array_equal(g, want_grads[name]), name
 
 
 def test_dropout_threading_changes_training_forward(params):
@@ -367,6 +424,7 @@ def test_dropout_threading_changes_training_forward(params):
     model = CaptionModel(cfg, VOCAB, params=params)
     drop = model.dropout_ctx(np.random.default_rng(0))
     vproj = T.Tensor(np.random.default_rng(17).normal(size=(3, 8)))
-    with_drop = E.encode_text(params, cfg, [0, 1], vproj, drop=drop).data
-    without = E.encode_text(params, cfg, [0, 1], vproj).data
+    with_drop = E.encode_text(params, cfg, [0, 1], vproj, table(params),
+                              drop=drop).data
+    without = E.encode_text(params, cfg, [0, 1], vproj, table(params)).data
     assert not np.array_equal(with_drop, without)

@@ -262,6 +262,13 @@ def test_beam_search_rejects_bad_beam():
         R.beam_search(lambda p: np.ones(3), 0, 1, 4, beam=0)
 
 
+@pytest.mark.parametrize("beam", [1, 3])
+def test_beam_search_rejects_non_finite_distribution(beam):
+    table = {(0,): [0, 0.1, 0.6, 0.3], (0, 2): [np.nan] * 4}
+    with pytest.raises(FloatingPointError):
+        R.beam_search(_table_step_fn(table, 4), 0, 1, 4, beam=beam)
+
+
 def test_top_ids_matches_stable_argsort():
     rng = np.random.default_rng(0)
     for dist in (rng.random(50), np.repeat(rng.random(10), 5),
@@ -305,8 +312,8 @@ def test_decode_sample_encodes_once_without_tape(tmp_path, monkeypatch):
 
     monkeypatch.setattr(E, "position_lstm", counting_lstm)
     monkeypatch.setattr(model, "encode", recording_encode)
-    # max_len may reach the position table: the shared cache never asks for
-    # more positions than the longest of the article and max_len
+    # max_len may reach the position table: encode builds the full table
+    # once and every decoding step reads it
     R.decode_sample(model, samples[0], store.get(samples[0].feature_ref),
                     max_len=model.cfg.max_pos)
     assert lstm_calls == [model.cfg.max_pos]

@@ -3,6 +3,7 @@
 and a traced decode records the spans its per-layer metrics are built from.
 A metric whose spans are missing reads null in a traced bench run."""
 
+import dataclasses
 import os
 import sys
 
@@ -18,6 +19,8 @@ import tracing  # noqa: E402
 
 NTD = "model.CaptionModel.next_token_dist"
 DD = "decoder.decode_distributions"
+LSTM = "encoder.position_lstm"
+ENCODE = "model.CaptionModel.encode"
 VOCAB = Vocabulary(["alpha", "beta", "gamma", "delta"])
 MAX_LEN = 6
 
@@ -73,3 +76,29 @@ def test_beam_steps_go_through_next_token_dist():
     spans = _traced_decode("beam", decode="beam", beam=3)
     assert len(_named(spans, NTD)) >= MAX_LEN
     assert len(_named(spans, DD)) == len(_named(spans, NTD))
+
+
+class _Store:
+    def __init__(self, grid):
+        self.grid = grid
+
+    def get(self, ref):
+        return self.grid
+
+
+def test_evaluate_builds_one_position_table_outside_encode():
+    model, sample, grid = _model_and_input()
+    samples = [dataclasses.replace(sample, id=f"s{i}") for i in range(3)]
+    tracer = tracing.Tracer()
+    tracer.install("greedy")
+    try:
+        R.evaluate(model, samples, _Store(grid), max_len=MAX_LEN)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    assert len(_named(spans, ENCODE)) == 3
+    lstm, = _named(spans, LSTM)
+    parent = lstm[tracing.PARENT]
+    while parent >= 0:
+        assert spans[parent][tracing.NAME] != ENCODE
+        parent = spans[parent][tracing.PARENT]
