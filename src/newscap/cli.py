@@ -173,6 +173,9 @@ def _resolved_train_config(args, vocab):
         train_d["seed"] = args.seed
     try:
         model_d = dict(cfg_file.get("model", {}))
+        if "dropout" in model_d:
+            raise ValueError("set dropout with the top-level \"dropout\" "
+                             "key, not model.dropout")
         model_d["vocab_size"] = len(vocab)
         cfg = TrainConfig(**train_d, model=ModelConfig.from_dict(model_d))
     except (TypeError, ValueError) as e:
@@ -181,14 +184,30 @@ def _resolved_train_config(args, vocab):
     return cfg
 
 
+def _load_samples(path, vocab, limit=None):
+    """A processed set, cut to `limit`; it must hold a sample, and every
+    token id must lie in the vocabulary."""
+    if not os.path.exists(path):
+        raise InputError(f"input not found: {path}")
+    samples = corpus.load_processed(path)[:limit or None]
+    if not samples:
+        raise InputError(f"no samples in {path}")
+    for s in samples:
+        ids = s.article_ids + s.caption_ids
+        if ids and (min(ids) < 0 or max(ids) >= len(vocab)):
+            raise InputError(f"sample {s.id} in {path} has a token id outside "
+                             f"the vocabulary of {len(vocab)}")
+    return samples
+
+
 def _load_model_inputs(args):
-    for path in (args.processed, args.vocab):
-        if not os.path.exists(path):
-            raise InputError(f"input not found: {path}")
-    vocab = corpus.Vocabulary.load(args.vocab)
-    samples = corpus.load_processed(args.processed)
-    if args.limit:
-        samples = samples[:args.limit]
+    if not os.path.exists(args.vocab):
+        raise InputError(f"input not found: {args.vocab}")
+    try:
+        vocab = corpus.Vocabulary.load(args.vocab)
+    except (ValueError, CorpusError) as e:
+        raise InputError(f"cannot read vocabulary {args.vocab}: {e}")
+    samples = _load_samples(args.processed, vocab, args.limit)
     store = FeatureStore(args.features)
     return vocab, samples, store
 
@@ -218,9 +237,7 @@ def _check_decode(args, model, samples):
 def cmd_train(args):
     out = _ensure_out(args)
     vocab, train_samples, store = _load_model_inputs(args)
-    if not os.path.exists(args.val):
-        raise InputError(f"validation set not found: {args.val}")
-    val_samples = corpus.load_processed(args.val)
+    val_samples = _load_samples(args.val, vocab)
     cfg = _resolved_train_config(args, vocab)
     _check_positions(cfg.model.max_pos, train_samples + val_samples,
                      cfg.max_decode_len, captions=True)

@@ -264,6 +264,8 @@ class Vocabulary:
     def load(cls, path):
         with open(path, encoding="utf-8") as fh:
             ids = json.load(fh)
+        if not isinstance(ids, dict):
+            raise CorpusError("vocabulary file must map tokens to ids")
         tokens = sorted(ids, key=ids.get)
         fixed = len(SPECIALS) + len(TAG_TOKENS)
         if tokens[:fixed] != SPECIALS + TAG_TOKENS:

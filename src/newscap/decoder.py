@@ -82,10 +82,11 @@ def pointer_mix(params, x0, v_ctx, a_ctx, e_ctx, a_v, a_e, p_s,
         q_gen = T.Tensor(np.zeros(p_gen.data.shape, dtype=dtype))
     w_s = T.relu(1.0 - p_gen - q_gen)
     denom = p_gen + q_gen + w_s
-    copy_v = T.scatter_cols(a_v, article_map, vocab_size)
+    rows = a_v.shape[0]
+    copy_v = T.scatter_add(a_v, np.s_[:, article_map], (rows, vocab_size))
     mixed = (p_gen / denom) * copy_v + (w_s / denom) * p_s
     if a_e is not None:
-        copy_e = T.scatter_cols(a_e, entity_map, vocab_size)
+        copy_e = T.scatter_add(a_e, np.s_[:, entity_map], (rows, vocab_size))
         mixed = mixed + (q_gen / denom) * copy_e
     return mixed, p_gen, q_gen
 
@@ -117,7 +118,7 @@ def decode_distributions(params, cfg, input_ids, contexts, drop=None,
     if lengths is not None:
         last = np.cumsum(lengths) - 1
         x, x0, v_ctx, a_ctx, e_ctx, a_v, a_e = (
-            None if t is None else T.embedding_lookup(t, last)
+            None if t is None else T.take(t, last)
             for t in (x, x0, v_ctx, a_ctx, e_ctx, a_v, a_e))
     p_s = T.softmax(T.matmul(x, params["out/w"]) + params["out/b"], axis=1)
     if cfg.pointer:
@@ -146,7 +147,7 @@ def nll_loss(p_star, target_ids):
     n = len(target_ids)
     if p_star.shape[0] != n:
         raise ValueError("distribution/target length mismatch")
-    picked = T.pick(p_star, np.arange(n), target_ids)
+    picked = T.take(p_star, (np.arange(n), target_ids))
     total = -T.sum_all(T.log_clamped(picked))
     return total, total.item() / n
 

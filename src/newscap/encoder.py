@@ -92,19 +92,19 @@ def position_lstm(params, cfg, length):
     if length > cfg.max_pos:
         raise ValueError(
             f"sequence length {length} exceeds position table {cfg.max_pos}")
-    x = T.slice_rows(params["emb/pos"], 0, length)
+    x = T.take(params["emb/pos"], np.s_[:length])
     wx, wh, b = (params["emb/lstm/" + k] for k in ("wx", "wh", "b"))
     h_dim = x.shape[1]
     h = T.Tensor(np.zeros((1, h_dim), dtype=x.data.dtype))
     c = T.Tensor(np.zeros((1, h_dim), dtype=x.data.dtype))
     outs = []
     for t in range(length):
-        row = T.slice_rows(x, t, t + 1)
+        row = T.take(x, np.s_[t:t + 1])
         gates = T.matmul(row, wx) + T.matmul(h, wh) + b
-        i = T.sigmoid(T.slice_cols(gates, 0, h_dim))
-        f = T.sigmoid(T.slice_cols(gates, h_dim, 2 * h_dim))
-        g = T.tanh(T.slice_cols(gates, 2 * h_dim, 3 * h_dim))
-        o = T.sigmoid(T.slice_cols(gates, 3 * h_dim, 4 * h_dim))
+        i = T.sigmoid(T.take(gates, np.s_[:, :h_dim]))
+        f = T.sigmoid(T.take(gates, np.s_[:, h_dim:2 * h_dim]))
+        g = T.tanh(T.take(gates, np.s_[:, 2 * h_dim:3 * h_dim]))
+        o = T.sigmoid(T.take(gates, np.s_[:, 3 * h_dim:4 * h_dim]))
         c = f * c + i * g
         h = o * T.tanh(c)
         outs.append(h)
@@ -126,8 +126,7 @@ def embed_positions(params, ids, positions, lengths=None):
                          f"{positions.shape[0]}")
     rows = np.arange(n) if lengths is None else \
         np.concatenate([np.arange(k) for k in lengths])
-    return T.embedding_lookup(params["emb/word"], ids) + \
-        T.embedding_lookup(positions, rows)
+    return T.take(params["emb/word"], ids) + T.take(positions, rows)
 
 
 def project_image(params, grid):
@@ -174,5 +173,5 @@ def encode_entities(params, cfg, mention_token_ids, vproj, positions,
                       positions, drop=drop)
     # one segment sum per mention, divided so that it rounds as a mean
     mention = np.repeat(np.arange(len(groups)), sizes)
-    sums = T.transpose(T.scatter_cols(T.transpose(enc), mention, len(groups)))
+    sums = T.scatter_add(enc, mention, (len(groups), enc.shape[1]))
     return sums / np.asarray(sizes, dtype=enc.data.dtype)[:, None]

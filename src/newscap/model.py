@@ -110,7 +110,6 @@ class EncodedContexts:
     vproj: T.Tensor            # [K x H]
     article_map: np.ndarray    # per article position -> vocabulary id to copy
     entity_map: np.ndarray     # per mention -> vocabulary id to copy
-    mentions: list             # EntityMentions aligned with entity rows
     positions: T.Tensor        # position table for article, mentions, prefixes
 
 
@@ -171,8 +170,7 @@ class CaptionModel:
         vproj = E.project_image(self.params, feat_grid)
         article = E.encode_text(self.params, self.cfg, sample.article_ids,
                                 vproj, positions, drop=drop)
-        mentions = [m for m in sample.entities if m.end > m.start]
-        groups = [sample.article_ids[m.start:m.end] for m in mentions]
+        groups = [sample.article_ids[m.start:m.end] for m in sample.entities]
         entities = E.encode_entities(self.params, self.cfg, groups, vproj,
                                      positions, drop=drop)
         article_map, entity_map = build_copy_maps(sample, self.vocab)
@@ -182,7 +180,6 @@ class CaptionModel:
             vproj=vproj,
             article_map=article_map,
             entity_map=entity_map,
-            mentions=mentions,
             positions=positions,
         )
 

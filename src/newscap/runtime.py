@@ -123,13 +123,12 @@ def save_checkpoint(ckpt, path):
 
 def load_checkpoint(path):
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CKPT_MAGIC:
+        preamble = fh.read(12)
+        if len(preamble) < 12 or preamble[:4] != CKPT_MAGIC:
             raise ValueError("not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        version, hdr_len = struct.unpack("<II", preamble[4:])
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        (hdr_len,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(hdr_len).decode())
         blob = fh.read()
     if hashlib.sha256(blob).hexdigest() != header["checksum"]:
@@ -187,7 +186,8 @@ def beam_search(step_fn, bos_id, eos_id, max_len, beam, alpha=0.7):
     step_fn(prefixes) -> [len(prefixes) x V] probabilities, one row per
     BOS-rooted prefix. Each hypothesis expands its `beam` most probable
     tokens (ties: lowest id); continuing hypotheses compete on raw
-    log-probability; final selection uses logprob / len^alpha. Beam 1 is
+    log-probability; final selection uses logprob / len^alpha. EOS is not a
+    candidate at the first step, so the caption is never empty. Beam 1 is
     greedy decoding. A wider beam also runs the beam-1 pass, in lockstep,
     and returns the greedy sequence when it scores strictly higher, both
     scored as log p(sequence + EOS) / len^alpha. Distributions are kept in a
@@ -228,7 +228,9 @@ def beam_search(step_fn, bos_id, eos_id, max_len, beam, alpha=0.7):
                 cands = []
                 for seq, lp in beams[w]:
                     dist = table[tuple(seq)]
-                    top = _top_ids(dist, w)
+                    top = _top_ids(dist, w + (len(seq) == 1))
+                    if len(seq) == 1:  # EOS first is the empty caption
+                        top = top[top != eos_id][:w]
                     for tok, tok_lp in zip(top, logp(dist, top)):
                         cands.append((seq + [int(tok)], lp + float(tok_lp)))
                 cands.sort(key=lambda c: -c[1])

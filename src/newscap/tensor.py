@@ -2,9 +2,11 @@
 
 Deliberately minimal: 2-D matrices (plus scalars) cover nearly everything
 the captioning model needs; matmul, transpose and reshape also take stacked
-matrices, so attention runs its heads along a leading axis. Ops record
-backward closures onto the tensors they produce; backward() runs the chain
-rule over a topological sort.
+matrices, so attention runs its heads along a leading axis. Every index
+operation is one of a single adjoint pair: take gathers (slices, embedding
+rows, per-row targets) and scatter_add adds back (the copy distributions,
+per-mention sums). Ops record backward closures onto the tensors they
+produce; backward() runs the chain rule over a topological sort.
 """
 
 from __future__ import annotations
@@ -247,30 +249,6 @@ def concat(tensors, axis=0):
     return out
 
 
-def slice_cols(a, start, stop):
-    out = Tensor(a.data[:, start:stop], (a,))
-
-    def bw():
-        g = np.zeros_like(a.data)
-        g[:, start:stop] = out.grad
-        a._accum(g)
-
-    _register(out, bw)
-    return out
-
-
-def slice_rows(a, start, stop):
-    out = Tensor(a.data[start:stop, :], (a,))
-
-    def bw():
-        g = np.zeros_like(a.data)
-        g[start:stop, :] = out.grad
-        a._accum(g)
-
-    _register(out, bw)
-    return out
-
-
 def sum_all(a):
     out = Tensor(np.asarray(a.data.sum(), dtype=a.data.dtype), (a,))
 
@@ -359,35 +337,46 @@ def layer_norm(x, gain, bias, eps=1e-5):
     return out
 
 
-def embedding_lookup(table, ids):
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError("embedding id out of range")
-    out = Tensor(table.data[ids], (table,))
+def _checked(index, shape):
+    """The index with its integer ids as int64 arrays, each checked against
+    the axis it indexes: numpy would wrap a negative id round, not raise."""
+    parts = index if isinstance(index, tuple) else (index,)
+    out = []
+    for n, part in zip(shape, parts):
+        if not isinstance(part, slice):
+            part = np.asarray(part, dtype=np.int64)
+            if part.size and (part.min() < 0 or part.max() >= n):
+                raise IndexError(f"index out of range for an axis of {n}")
+        out.append(part)
+    return tuple(out) if isinstance(index, tuple) else out[0]
+
+
+def take(a, index):
+    """Gather a.data[index]; index is any numpy index of slices and integer
+    ids, or a tuple of them, one per leading axis."""
+    index = _checked(index, a.data.shape)
+    out = Tensor(a.data[index], (a,))
 
     def bw():
-        g = np.zeros_like(table.data)
-        np.add.at(g, ids, out.grad)
-        table._accum(g)
+        g = np.zeros_like(a.data)
+        np.add.at(g, index, out.grad)
+        a._accum(g)
 
     _register(out, bw)
     return out
 
 
-def scatter_cols(a, ids, n):
-    """Scatter-add the columns of a [R x L] into n columns: column i adds
-    into column ids[i]. Equals a @ one_hot(ids, n) without building the
-    [L x n] matrix; accumulates in a's dtype, in column order, so it rounds
-    as that matmul does."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise IndexError("scatter id out of range")
-    data = np.zeros((a.data.shape[0], n), dtype=a.data.dtype)
-    np.add.at(data, (slice(None), ids), a.data)
+def scatter_add(a, index, shape):
+    """The adjoint of take: add a into zeros(shape) at index. Accumulates in
+    a's dtype, in index order, so scattering columns into a vocabulary
+    rounds as a matmul with their one-hot matrix does."""
+    index = _checked(index, shape)
+    data = np.zeros(shape, dtype=a.data.dtype)
+    np.add.at(data, index, a.data)
     out = Tensor(data, (a,))
 
     def bw():
-        a._accum(out.grad[:, ids])
+        a._accum(out.grad[index])
 
     _register(out, bw)
     return out
@@ -428,21 +417,6 @@ def log_clamped(x, floor=1e-12):
 
     def bw():
         x._accum(out.grad * (x.data > floor) / clamped)
-
-    _register(out, bw)
-    return out
-
-
-def pick(x, rows, cols):
-    """Gather x[rows[i], cols[i]] into a length-N vector."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = Tensor(x.data[rows, cols], (x,))
-
-    def bw():
-        g = np.zeros_like(x.data)
-        np.add.at(g, (rows, cols), out.grad)
-        x._accum(g)
 
     _register(out, bw)
     return out

@@ -237,6 +237,72 @@ def test_corrupt_checkpoint_exit_2(tmp_path, prep_dir, synth_dir):
                 "--checkpoint", str(bad)]) == 2
 
 
+def test_truncated_checkpoint_exit_2(tmp_path, train_dir, prep_dir,
+                                     synth_dir):
+    """Cut inside the 12-byte preamble of magic, version and header length."""
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes((train_dir / "checkpoint.bin").read_bytes()[:9])
+    assert run(["caption",
+                "--processed", str(prep_dir / "processed.jsonl"),
+                "--vocab", str(prep_dir / "vocab.json"),
+                "--features", str(synth_dir),
+                "--checkpoint", str(cut)]) == 2
+
+
+def _evaluate_with(tmp_path, train_dir, prep_dir, synth_dir, processed=None,
+                   vocab=None, limit=None):
+    """Run `evaluate` with the trained checkpoint on the given inputs."""
+    return run(["evaluate",
+                "--processed", str(processed or prep_dir / "processed.jsonl"),
+                "--vocab", str(vocab or prep_dir / "vocab.json"),
+                "--features", str(synth_dir),
+                "--checkpoint", str(train_dir / "checkpoint.bin"),
+                "--out", str(tmp_path / "eval")]
+               + ([] if limit is None else ["--limit", str(limit)]))
+
+
+def test_vocab_not_json_exit_2(tmp_path, train_dir, prep_dir, synth_dir):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text("[PAD] [UNK]\n")
+    assert _evaluate_with(tmp_path, train_dir, prep_dir, synth_dir,
+                          vocab=vocab) == 2
+
+
+@pytest.mark.parametrize("empty_file", [True, False],
+                         ids=["empty-file", "limit-keeps-none"])
+def test_evaluate_empty_set_exit_2(tmp_path, train_dir, prep_dir, synth_dir,
+                                   empty_file):
+    processed = prep_dir / "processed.jsonl"
+    n = len(processed.read_text().splitlines())
+    if empty_file:
+        processed = tmp_path / "empty.jsonl"
+        processed.write_text("\n")
+    assert _evaluate_with(tmp_path, train_dir, prep_dir, synth_dir,
+                          processed=processed,
+                          limit=None if empty_file else -n) == 2
+    assert not (tmp_path / "eval" / "report.json").exists()
+
+
+@pytest.mark.parametrize("field,bad", [("article_ids", -1),
+                                       ("caption_ids", 10 ** 6)],
+                         ids=["negative-article-id", "caption-id-past-vocab"])
+def test_token_id_outside_vocab_exit_2(tmp_path, train_dir, prep_dir,
+                                       synth_dir, capsys, field, bad):
+    lines = (prep_dir / "processed.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    first[field][1] = bad
+    processed = tmp_path / "processed.jsonl"
+    processed.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+    assert _evaluate_with(tmp_path, train_dir, prep_dir, synth_dir,
+                          processed=processed) == 2
+    assert "outside the vocabulary" in capsys.readouterr().err
+    (tmp_path / "vocab.json").write_bytes(
+        (prep_dir / "vocab.json").read_bytes())
+    rc, out = _train_with(tmp_path, tmp_path, synth_dir)
+    assert rc == 2
+    assert not (out / "checkpoint.bin").exists()
+
+
 def _train_with(tmp_path, prep, synth, max_pos=128, **train):
     cfg = dict({"batch_size": 4, "dropout": 0.0, "max_epochs": 1}, **train,
                model={"hidden": 8, "heads": 2, "enc_layers": 1,
@@ -275,12 +341,18 @@ def test_train_zero_epochs_exit_0(tmp_path, prep_dir, synth_dir, capsys):
     {"max_epochs": 1, "model": {"hidden": 8, "heads": 2, "dec_layers": 0,
                                 "k_patches": 9, "feat_dim": 32,
                                 "max_pos": 128}},
+    {"max_epochs": 1, "model": {"hidden": 8, "heads": 2, "dropout": 0.0,
+                                "k_patches": 9, "feat_dim": 32,
+                                "max_pos": 128}},
 ], ids=["unknown-key", "not-an-object", "heads-not-dividing-hidden",
-        "no-decoder-layer"])
+        "no-decoder-layer", "model-dropout"])
 def test_train_bad_config_exit_2(tmp_path, prep_dir, synth_dir, capsys, cfg):
     rc, out = _train_config(tmp_path, prep_dir, synth_dir, cfg)
     assert rc == 2
-    assert "internal error" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    if isinstance(cfg, dict) and "dropout" in cfg.get("model", {}):
+        assert 'top-level "dropout"' in err
     assert not (out / "checkpoint.bin").exists()
 
 

@@ -385,7 +385,7 @@ def _pooled_by_loop(enc, sizes):
     """Per-mention mean of the encoded rows: slice, pool, concatenate."""
     rows, offset = [], 0
     for k in sizes:
-        rows.append(T.avg_pool_rows(T.slice_rows(enc, offset, offset + k)))
+        rows.append(T.avg_pool_rows(T.take(enc, np.s_[offset:offset + k])))
         offset += k
     return T.concat(rows, axis=0)
 

@@ -161,8 +161,8 @@ def _exhaustive_best(table, bos, eos, max_len, vocab_size, alpha=0.7):
     best = (None, -np.inf)
     for length in range(1, max_len + 1):
         for seq in itertools.product(range(vocab_size), repeat=length):
-            if eos in seq[:-1] or bos in seq:
-                continue
+            if eos in seq[:-1] or bos in seq or seq == (eos,):
+                continue  # the empty caption is not a caption
             toks = list(seq)
             ends_with_eos = toks[-1] == eos
             lp = 0.0
@@ -201,6 +201,27 @@ def test_beam_search_matches_exhaustive_enumeration():
     got = R.beam_search(fn, bos_id=0, eos_id=1, max_len=3, beam=5)
     expect = _exhaustive_best(table, bos=0, eos=1, max_len=3, vocab_size=v)
     assert got == expect
+
+
+@pytest.mark.parametrize("table,beam,expect", [
+    # EOS is the argmax after BOS, and the empty caption (log 0.6) would
+    # outscore every other caption; greedy ends after its first word
+    ({(0,): [0, 0.6, 0.2, 0.15, 0.05], (0, 2): [0, 0.5, 0.1, 0.3, 0.1],
+      (0, 3): [0, 0.4, 0.3, 0.2, 0.1]}, 1, [2]),
+    ({(0,): [0, 0.6, 0.2, 0.15, 0.05], (0, 2): [0, 0.5, 0.1, 0.3, 0.1],
+      (0, 3): [0, 0.4, 0.3, 0.2, 0.1]}, 3, [2, 3]),
+    # EOS holds all but 1 % after BOS; the only other word with mass wins
+    ({(0,): [0, 0.99, 0, 0.01, 0]}, 1, [3]),
+    ({(0,): [0, 0.99, 0, 0.01, 0]}, 3, [3]),
+], ids=["eos-argmax-beam1", "eos-argmax-beam3", "eos-nearly-certain-beam1",
+        "eos-nearly-certain-beam3"])
+def test_beam_search_never_returns_the_empty_caption(table, beam, expect):
+    fn = _table_step_fn(table, 5)
+    got = R.beam_search(fn, bos_id=0, eos_id=1, max_len=3, beam=beam)
+    assert got == expect
+    if beam > 1:
+        assert got == _exhaustive_best(table, bos=0, eos=1, max_len=3,
+                                       vocab_size=5)
 
 
 def test_beam_search_steps_all_live_prefixes_in_one_call():

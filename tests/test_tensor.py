@@ -135,44 +135,67 @@ def test_layer_norm_moments(seed):
 
 
 # ---------------------------------------------------------------------------
-# lookup / pooling / dropout
+# take / scatter_add / pooling / dropout
 
 
-def test_embedding_lookup_rows():
+def test_take_rows():
     table = t64(np.arange(12.0).reshape(4, 3))
-    assert np.array_equal(T.embedding_lookup(table, [0]).data, table.data[:1])
-    assert np.array_equal(T.embedding_lookup(table, [2, 0, 1]).data,
+    assert np.array_equal(T.take(table, [0]).data, table.data[:1])
+    assert np.array_equal(T.take(table, [2, 0, 1]).data,
                           table.data[[2, 0, 1]])
+    assert np.array_equal(T.take(table, np.s_[1:3]).data, table.data[1:3])
 
 
-def test_embedding_lookup_repeated_id_backward_accumulates():
+def test_take_repeated_id_backward_accumulates():
     table = t64(np.zeros((3, 2)))
-    out = T.embedding_lookup(table, [1, 1])
+    out = T.take(table, [1, 1])
     T.backward(T.sum_all(out))
     assert np.array_equal(table.grad, [[0, 0], [2, 2], [0, 0]])
 
 
-def test_embedding_lookup_out_of_range():
-    with pytest.raises(IndexError):
-        T.embedding_lookup(t64(np.zeros((3, 2))), [3])
-
-
-def test_scatter_cols_equals_one_hot_matmul():
+def test_scatter_add_equals_one_hot_matmul():
     rng = np.random.default_rng(5)
     ids = np.array([3, 0, 3, 5, 0, 3, 1])
     one_hot = np.eye(6)[ids]
     for dtype in (np.float32, np.float64):
         a = T.Tensor(rng.random((4, len(ids))).astype(dtype))
-        out = T.scatter_cols(a, ids, 6)
+        out = T.scatter_add(a, np.s_[:, ids], (4, 6))
         assert out.data.dtype == dtype
         assert np.array_equal(out.data, a.data @ one_hot.astype(dtype))
 
 
-def test_scatter_cols_out_of_range():
-    a = t64(np.ones((2, 3)))
-    for ids in ([0, 1, 4], [0, -1, 2]):
+@pytest.mark.parametrize("op", ["take", "scatter_add"])
+@pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "past-end"])
+def test_index_out_of_range(op, bad):
+    """Rows and columns both have 4 entries; numpy alone would wrap -1
+    round to the last one."""
+    for index, taken in (([0, bad, 2], (3, 4)), (np.s_[:, [0, bad]], (4, 2)),
+                         (([0, 1], [2, bad]), (2,))):
         with pytest.raises(IndexError):
-            T.scatter_cols(a, ids, 4)
+            if op == "take":
+                T.take(t64(np.ones((4, 4))), index)
+            else:
+                T.scatter_add(t64(np.ones(taken)), index, (4, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_take_scatter_add_adjoint(data):
+    """<take(x, i), y> = <x, scatter_add(y, i, x.shape)> for row ids, column
+    ids and (row, col) pairs, repeats included."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(1, 6))
+    r = np.asarray(data.draw(st.lists(st.integers(0, rows - 1), min_size=n,
+                                      max_size=n)))
+    c = np.asarray(data.draw(st.lists(st.integers(0, cols - 1), min_size=n,
+                                      max_size=n)))
+    index = data.draw(st.sampled_from([r, np.s_[:, c], (r, c)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    x = rng.normal(size=(rows, cols))
+    y = rng.normal(size=x[index].shape)
+    lhs = np.sum(T.take(t64(x), index).data * y)
+    rhs = np.sum(x * T.scatter_add(t64(y), index, x.shape).data)
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(x).sum() * np.abs(y).sum())
 
 
 def test_avg_pool_rows():
@@ -256,13 +279,21 @@ def test_unreachable_param_gets_zero_grad():
     lambda p: T.sum_all(T.sigmoid(T.matmul(p["w"], T.transpose(p["u"])))),
     lambda p: T.sum_all(T.layer_norm(p["w"] * p["w"], p["g"], p["b"])),
     lambda p: T.sum_all(T.tanh(T.concat([p["w"], p["u"]], axis=0))),
-    lambda p: T.sum_all(T.slice_cols(p["w"], 1, 3)
-                        / (T.slice_cols(p["u"], 1, 3)
-                           * T.slice_cols(p["g"], 0, 2) + 2.0)),
-    lambda p: T.sum_all(T.avg_pool_rows(p["w"]) * T.slice_rows(p["u"], 0, 1)),
+    lambda p: T.sum_all(T.take(p["w"], np.s_[:, 1:3])
+                        / (T.take(p["u"], np.s_[:, 1:3])
+                           * T.take(p["g"], np.s_[:, 0:2]) + 2.0)),
+    lambda p: T.sum_all(T.avg_pool_rows(p["w"]) * T.take(p["u"], np.s_[0:1])),
     lambda p: -T.sum_all(T.log_clamped(T.softmax(p["w"], axis=1))),
-    lambda p: T.sum_all(T.scatter_cols(p["w"], [2, 0, 2, 1], 3)
-                        * T.slice_cols(p["u"], 1, 4)),
+    # take: repeated row ids, and (row, col) pairs with a repeat
+    lambda p: T.sum_all(T.tanh(T.take(p["w"], [1, 0, 1])) * p["g"]),
+    lambda p: T.sum_all(T.sigmoid(T.take(p["u"], ([0, 1, 1, 0], [3, 0, 3, 2]))
+                                  * T.take(p["w"], ([1, 1, 0, 0],
+                                                    [0, 1, 2, 3])))),
+    # scatter_add along columns and along rows
+    lambda p: T.sum_all(T.scatter_add(p["w"], np.s_[:, [2, 0, 2, 1]], (2, 3))
+                        * T.take(p["u"], np.s_[:, 1:4])),
+    lambda p: T.sum_all(T.tanh(T.scatter_add(p["w"], [2, 2], (3, 4)))
+                        * T.concat([p["u"], p["g"]], axis=0)),
     # stacked operand against a 2-D weight: the weight's gradient sums over
     # the leading axis
     lambda p: T.sum_all(T.tanh(T.matmul(T.reshape(p["w"], (2, 2, 2)),
@@ -296,7 +327,7 @@ def test_finite_diff_check_quadratic_tight():
 
 def test_pick_gathers_and_scatters():
     x = t64(np.arange(6.0).reshape(2, 3))
-    out = T.pick(x, [0, 1], [2, 0])
+    out = T.take(x, ([0, 1], [2, 0]))
     assert np.array_equal(out.data, [2.0, 3.0])
     T.backward(T.sum_all(out * t64([1.0, 10.0])))
     assert x.grad[0, 2] == 1.0 and x.grad[1, 0] == 10.0
