@@ -101,15 +101,12 @@ def cmd_preprocess(args):
     report = corpus.LoadReport()
     rejections = {"image_size": 0, "caption_length": 0, "encode_error": 0}
     kept = []
-    try:
-        for s in corpus.load_corpus(args.raw, report):
-            reason = corpus.rejection_reason(s)
-            if reason:
-                rejections[reason] += 1
-            else:
-                kept.append(s)
-    except CorpusError as e:
-        raise InputError(str(e))
+    for s in corpus.load_corpus(args.raw, report):
+        reason = corpus.rejection_reason(s)
+        if reason:
+            rejections[reason] += 1
+        else:
+            kept.append(s)
     if not kept:
         raise InputError(
             f"no samples pass the filters: {json.dumps(rejections)} "
@@ -201,6 +198,8 @@ def _load_samples(path, vocab, limit=None):
 
 
 def _load_model_inputs(args):
+    if args.limit is not None and args.limit < 1:
+        raise InputError(f"--limit must be at least 1, got {args.limit}")
     if not os.path.exists(args.vocab):
         raise InputError(f"input not found: {args.vocab}")
     try:
@@ -387,7 +386,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
+    except (InputError, CorpusError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (runtime.TrainingDiverged, FloatingPointError) as e:

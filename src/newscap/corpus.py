@@ -266,6 +266,12 @@ class Vocabulary:
             ids = json.load(fh)
         if not isinstance(ids, dict):
             raise CorpusError("vocabulary file must map tokens to ids")
+        # every processed id refers to the file's numbering: load nothing
+        # that would have to be renumbered
+        if any(type(i) is not int for i in ids.values()) or \
+                sorted(ids.values()) != list(range(len(ids))):
+            raise CorpusError("vocabulary ids must be the integers "
+                              f"0..{len(ids) - 1}, each once")
         tokens = sorted(ids, key=ids.get)
         fixed = len(SPECIALS) + len(TAG_TOKENS)
         if tokens[:fixed] != SPECIALS + TAG_TOKENS:
@@ -430,8 +436,20 @@ def _clip_annotations(annotations, window):
 
 
 def load_processed(path):
+    samples = []
     with open(path, encoding="utf-8") as fh:
-        return [ProcessedSample.from_json(line) for line in fh if line.strip()]
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                samples.append(ProcessedSample.from_json(line))
+            except KeyError as e:
+                raise CorpusError(
+                    f"{path} line {n}: missing field {e.args[0]!r}") from None
+            except (TypeError, ValueError) as e:
+                raise CorpusError(
+                    f"{path} line {n}: malformed sample: {e}") from None
+    return samples
 
 
 def save_processed(samples, path):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoder import aoa, embed_positions, ffn
+from .encoder import aoa, embed_positions, ffn, project_kv
 
 
 @dataclass
@@ -25,30 +25,44 @@ class StepOutput:
 class DecoderOutput:
     p_star: T.Tensor       # [N x V]; one row per prefix with `lengths`
     steps: list            # per-step StepOutput (detached numpy views)
+    kv: list               # per prefix, per layer: its self-attention
+                           # (keys, values) arrays over all its positions
 
 
-def causal_mask(*lengths):
-    """Block-diagonal causal mask over sequences of the given lengths stacked
-    row-wise: a row attends to the rows of its own sequence up to itself."""
-    seq = np.repeat(np.arange(len(lengths)), lengths)
-    return np.tril(seq[:, None] == seq[None, :])
+def causal_mask(rows, keys):
+    """The decoder's one attention rule: a row attends the keys of its own
+    sequence up to its own position. rows and keys are each a (sequence
+    ids, positions) pair of arrays."""
+    return (rows[0][:, None] == keys[0][None, :]) & \
+        (keys[1][None, :] <= rows[1][:, None])
 
 
-def masked_self_aoa(params, pfx, x, heads, drop=None, lengths=None):
-    """Self-AoA where position t attends to positions 1..t of its own
-    sequence; `lengths` splits the rows of x into stacked sequences."""
-    mask = causal_mask(*(lengths or [x.shape[0]]))
-    out, _ = aoa(params, pfx, x, x, x, heads, mask=mask, drop=drop)
-    return out
+def masked_self_aoa(params, pfx, x, heads, rows, past=None, drop=None):
+    """Self-AoA under causal_mask; rows is the (sequence, position) of each
+    row of x. past, if given, is the (keys, values, (sequences, positions))
+    of earlier rows, held from an earlier call, that these rows attend too.
+    Returns the output and the projected (keys, values) of x's own rows."""
+    own = project_kv(params, pfx, x, heads)
+    kv, at = own, rows
+    if past is not None:
+        keys, values, held = past
+        kv = (T.concat([T.Tensor(keys), own[0]], axis=2),
+              T.concat([T.Tensor(values), own[1]], axis=1))
+        at = tuple(np.concatenate(pair) for pair in zip(held, rows))
+    out, _ = aoa(params, pfx, x, kv, heads, mask=causal_mask(rows, at),
+                 drop=drop)
+    return out, own
 
 
-def multimodal_aoa(params, pfx, xa, vproj, art, ent, heads, drop=None):
-    """Three AoA blocks sharing the query; returns attended contexts plus the
-    article and entity attention results (None without entities)."""
-    v_ctx, _ = aoa(params, pfx + "/img", xa, vproj, vproj, heads, drop=drop)
-    a_ctx, a_att = aoa(params, pfx + "/art", xa, art, art, heads, drop=drop)
+def multimodal_aoa(params, pfx, xa, img, art, ent, heads, drop=None):
+    """Three AoA blocks sharing the query, over the projected (keys, values)
+    of the image, the article and the entities (None without entities);
+    returns attended contexts plus the article and entity attention results
+    (None without entities)."""
+    v_ctx, _ = aoa(params, pfx + "/img", xa, img, heads, drop=drop)
+    a_ctx, a_att = aoa(params, pfx + "/art", xa, art, heads, drop=drop)
     if ent is not None:
-        e_ctx, e_att = aoa(params, pfx + "/ent", xa, ent, ent, heads, drop=drop)
+        e_ctx, e_att = aoa(params, pfx + "/ent", xa, ent, heads, drop=drop)
     else:
         e_ctx = T.Tensor(np.zeros(xa.data.shape, dtype=xa.data.dtype))
         e_att = None
@@ -92,7 +106,7 @@ def pointer_mix(params, x0, v_ctx, a_ctx, e_ctx, a_v, a_e, p_s,
 
 
 def decode_distributions(params, cfg, input_ids, contexts, drop=None,
-                         collect_steps=False, lengths=None):
+                         collect_steps=False, lengths=None, past=None):
     """Run the decoder stack on an input prefix; returns per-position final
     distributions. input_ids is BOS + tokens (targets are not consumed here).
 
@@ -100,23 +114,44 @@ def decode_distributions(params, cfg, input_ids, contexts, drop=None,
     each attending only within itself, and the output holds one row per
     prefix: the distribution after its last token. Only those rows go
     through the output head and the pointer mix.
+
+    past gives, per prefix, the per-layer self-attention (keys, values) of
+    that prefix without its last token (an earlier call's `kv`), or None. A
+    prefix with a past runs its last token only; the others run whole.
     """
-    x0 = embed_positions(params, input_ids, contexts.positions,
-                         lengths=lengths)
+    last_only = lengths is not None
+    lengths = lengths if last_only else [len(input_ids)]
+    past = past or [None] * len(lengths)
+    runs = [n if p is None else 1 for n, p in zip(lengths, past)]
+    seq = np.repeat(np.arange(len(lengths)), runs)
+    pos = np.concatenate([np.arange(n - r, n) for n, r in zip(lengths, runs)])
+    first = np.cumsum(lengths) - lengths
+    x0 = embed_positions(params, np.asarray(input_ids)[first[seq] + pos],
+                         contexts.positions, pos)
+    held = [i for i, p in enumerate(past) if p is not None]
+    if held:  # the (sequence, position) of every key held in a past
+        at = (np.repeat(held, [lengths[i] - 1 for i in held]),
+              np.concatenate([np.arange(lengths[i] - 1) for i in held]))
     x = x0
+    own = []
     for l in range(cfg.dec_layers):
-        xa = masked_self_aoa(params, f"dec/l{l}/self", x, cfg.heads, drop=drop,
-                             lengths=lengths)
+        layer_past = (
+            np.concatenate([past[i][l][0] for i in held], axis=2),
+            np.concatenate([past[i][l][1] for i in held], axis=1),
+            at) if held else None
+        xa, kv = masked_self_aoa(params, f"dec/l{l}/self", x, cfg.heads,
+                                 (seq, pos), layer_past, drop=drop)
+        own.append(kv)
         v_ctx, a_ctx, e_ctx, a_att, e_att = multimodal_aoa(
-            params, f"dec/l{l}", xa, contexts.vproj, contexts.article,
-            contexts.entities, cfg.heads, drop=drop)
+            params, f"dec/l{l}", xa, *contexts.memory[l], cfg.heads,
+            drop=drop)
         x = fuse_and_project(params, f"dec/l{l}", xa, v_ctx, a_ctx, e_ctx,
                              drop=drop)
     # the pointer reads the last layer's head-averaged copy attention only
     a_v = a_att.averaged_weights()
     a_e = None if e_att is None else e_att.averaged_weights()
-    if lengths is not None:
-        last = np.cumsum(lengths) - 1
+    if last_only:
+        last = np.cumsum(runs) - 1
         x, x0, v_ctx, a_ctx, e_ctx, a_v, a_e = (
             None if t is None else T.take(t, last)
             for t in (x, x0, v_ctx, a_ctx, e_ctx, a_v, a_e))
@@ -139,7 +174,24 @@ def decode_distributions(params, cfg, input_ids, contexts, drop=None,
                 q_gen=0.0 if q_gen is None else float(q_gen.data[t, 0]),
                 p_star=p_star.data[t].copy(),
             ))
-    return DecoderOutput(p_star=p_star, steps=steps)
+    return DecoderOutput(p_star=p_star, steps=steps,
+                         kv=_prefix_kv(own, past, runs))
+
+
+def _prefix_kv(own, past, runs):
+    """Each prefix's per-layer (keys, values) over all its positions: its
+    past's, then those of the rows this call ran for it."""
+    out = []
+    for i, (end, n) in enumerate(zip(np.cumsum(runs), runs)):
+        layers = []
+        for l, (keys, values) in enumerate(own):
+            k, v = keys.data[:, :, end - n:end], values.data[:, end - n:end]
+            if past[i] is not None:
+                k = np.concatenate([past[i][l][0], k], axis=2)
+                v = np.concatenate([past[i][l][1], v], axis=1)
+            layers.append((k, v))
+        out.append(layers)
+    return out
 
 
 def nll_loss(p_star, target_ids):

@@ -35,44 +35,53 @@ def _drop(x, drop):
     return drop(x) if drop is not None else x
 
 
-def mh_attention(params, pfx, q, k, v, heads, mask=None):
-    """Scaled dot-product attention with `heads` heads.
+def _split_heads(x, w, heads, axes):
+    """Project x by w and lay its heads out along the first axis."""
+    n, h = x.shape
+    if h % heads:
+        raise ValueError("head count must divide hidden size")
+    return T.transpose(T.reshape(T.matmul(x, w), (n, heads, h // heads)), axes)
+
+
+def project_kv(params, pfx, x, heads):
+    """The keys [heads x dh x L] and values [heads x L x dh] that attention
+    `pfx` reads from the rows of x. Contexts that stay fixed while a caption
+    is decoded are projected once and reused at every step."""
+    return (_split_heads(x, params[pfx + "/wk"], heads, (1, 2, 0)),
+            _split_heads(x, params[pfx + "/wv"], heads, (1, 0, 2)))
+
+
+def mh_attention(params, pfx, q, kv, heads, mask=None):
+    """Scaled dot-product attention with `heads` heads over the projected
+    (keys, values) pair kv of project_kv.
 
     mask, if given, is a boolean [Lq x Lk] array; False entries are not
     attendable. A row with no attendable key is an error.
     """
+    keys, values = kv
     h = q.shape[1]
-    if h % heads:
-        raise ValueError("head count must divide hidden size")
-    dh = h // heads
-    scale = 1.0 / math.sqrt(dh)
+    scale = 1.0 / math.sqrt(h // heads)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=1).all():
             raise ValueError("attention row with no attendable key")
         penalty = np.where(mask, 0.0, -1e9).astype(q.data.dtype)
-
-    def split(x, name, axes):
-        """Project x and lay its heads out along the first axis."""
-        return T.transpose(T.reshape(T.matmul(x, params[pfx + name]),
-                                     (x.shape[0], heads, dh)), axes)
-
-    qh = split(q, "/wq", (1, 0, 2))   # [heads x Lq x dh]
-    kh = split(k, "/wk", (1, 2, 0))   # [heads x dh x Lk]
-    vh = split(v, "/wv", (1, 0, 2))   # [heads x Lk x dh]
-    scores = T.matmul(qh, kh) * scale
+    qh = _split_heads(q, params[pfx + "/wq"], heads, (1, 0, 2))
+    scores = T.matmul(qh, keys) * scale
     if mask is not None:
         scores = scores + T.Tensor(penalty)
     w = T.softmax(scores, axis=-1)
-    ctx = T.reshape(T.transpose(T.matmul(w, vh), (1, 0, 2)), (q.shape[0], h))
+    ctx = T.reshape(T.transpose(T.matmul(w, values), (1, 0, 2)),
+                    (q.shape[0], h))
     out = T.matmul(ctx, params[pfx + "/wo"])
     return AttentionResult(out=out, weights=w)
 
 
-def aoa(params, pfx, query_in, k, v, heads, mask=None, drop=None):
+def aoa(params, pfx, query_in, kv, heads, mask=None, drop=None):
     """Attention on attention: gate the attended vector with a sigmoid of the
-    concatenated [attended ; query] features."""
-    att = mh_attention(params, pfx, query_in, k, v, heads, mask=mask)
+    concatenated [attended ; query] features. kv is the projected (keys,
+    values) pair of project_kv."""
+    att = mh_attention(params, pfx, query_in, kv, heads, mask=mask)
     cat = T.concat([att.out, query_in], axis=1)
     gate = T.sigmoid(T.matmul(cat, params[pfx + "/gate_wg"]) + params[pfx + "/gate_bg"])
     info = T.matmul(cat, params[pfx + "/gate_wa"]) + params[pfx + "/gate_ba"]
@@ -111,22 +120,21 @@ def position_lstm(params, cfg, length):
     return T.concat(outs, axis=0)
 
 
-def embed_positions(params, ids, positions, lengths=None):
+def embed_positions(params, ids, positions, pos=None):
     """Word embedding plus the position table's row for each position.
 
-    With `lengths`, ids stacks sequences of those lengths row-wise and each
-    one's positions start again at 1.
+    pos gives the position of each id (counted from 0); by default ids is
+    one sequence at positions 0..n-1.
     """
     n = len(ids)
     if n == 0:
         raise ValueError("cannot embed an empty token sequence")
-    span = n if lengths is None else max(lengths)
+    pos = np.arange(n) if pos is None else np.asarray(pos)
+    span = int(pos.max()) + 1
     if span > positions.shape[0]:
         raise ValueError(f"sequence length {span} exceeds position table "
                          f"{positions.shape[0]}")
-    rows = np.arange(n) if lengths is None else \
-        np.concatenate([np.arange(k) for k in lengths])
-    return T.take(params["emb/word"], ids) + T.take(positions, rows)
+    return T.take(params["emb/word"], ids) + T.take(positions, pos)
 
 
 def project_image(params, grid):
@@ -141,7 +149,9 @@ def visual_selective(params, pfx, t_tilde, vproj, heads, drop=None):
     """Gate every token embedding by a tanh of image-attended pooled text,
     then residual FFN + layer norm."""
     pooled = T.avg_pool_rows(t_tilde)
-    att_out, _ = aoa(params, pfx + "/att", pooled, vproj, vproj, heads, drop=drop)
+    att_out, _ = aoa(params, pfx + "/att", pooled,
+                     project_kv(params, pfx + "/att", vproj, heads), heads,
+                     drop=drop)
     gate = T.tanh(T.matmul(att_out, params[pfx + "/gate_w"]) + params[pfx + "/gate_b"])
     gated = gate * t_tilde
     return T.layer_norm(gated + ffn(params, pfx + "/ffn", gated, drop=drop),
@@ -152,7 +162,9 @@ def encode_text(params, cfg, ids, vproj, positions, drop=None):
     """Full text encoder: embeddings, then per layer self-AoA + visual gate."""
     x = embed_positions(params, ids, positions)
     for l in range(cfg.enc_layers):
-        x, _ = aoa(params, f"enc/l{l}/self", x, x, x, cfg.heads, drop=drop)
+        pfx = f"enc/l{l}/self"
+        x, _ = aoa(params, pfx, x, project_kv(params, pfx, x, cfg.heads),
+                   cfg.heads, drop=drop)
         x = visual_selective(params, f"enc/l{l}/vs", x, vproj, cfg.heads, drop=drop)
     return x
 

@@ -3,7 +3,7 @@ encoder + decoder wired together over processed samples."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -105,12 +105,14 @@ def init_params(cfg, seed=0):
 
 @dataclass
 class EncodedContexts:
-    article: T.Tensor          # [L x H]
-    entities: T.Tensor | None  # [M x H] or None when the sample has no entities
-    vproj: T.Tensor            # [K x H]
+    memory: list               # per decoder layer: the projected (keys,
+                               # values) of the image, the article and the
+                               # entities (None when the sample has none)
     article_map: np.ndarray    # per article position -> vocabulary id to copy
     entity_map: np.ndarray     # per mention -> vocabulary id to copy
     positions: T.Tensor        # position table for article, mentions, prefixes
+    prefix_kv: dict = field(default_factory=dict)  # stepped prefix -> its
+                               # per-layer self-attention (keys, values)
 
 
 def build_copy_maps(sample, vocab):
@@ -173,11 +175,15 @@ class CaptionModel:
         groups = [sample.article_ids[m.start:m.end] for m in sample.entities]
         entities = E.encode_entities(self.params, self.cfg, groups, vproj,
                                      positions, drop=drop)
+        memory = [tuple(
+            None if c is None else E.project_kv(
+                self.params, f"dec/l{l}/{name}", c, self.cfg.heads)
+            for name, c in (("img", vproj), ("art", article),
+                            ("ent", entities)))
+            for l in range(self.cfg.dec_layers)]
         article_map, entity_map = build_copy_maps(sample, self.vocab)
         return EncodedContexts(
-            article=article,
-            entities=entities,
-            vproj=vproj,
+            memory=memory,
             article_map=article_map,
             entity_map=entity_map,
             positions=positions,
@@ -191,10 +197,16 @@ class CaptionModel:
     def next_token_dist(self, prefixes, contexts):
         """Distribution over the next token after a BOS-rooted prefix: [V]
         for one flat prefix, [k x V] for a list of k prefixes, all stepped
-        by one decoder call."""
+        by one decoder call. Each stepped prefix's self-attention keys and
+        values stay on the contexts, so a prefix whose parent was stepped
+        runs its last token only."""
         single = np.ndim(prefixes[0]) == 0
-        batch = [prefixes] if single else prefixes
-        out = D.decode_distributions(
-            self.params, self.cfg, [t for p in batch for t in p], contexts,
-            lengths=[len(p) for p in batch])
+        batch = [tuple(p) for p in ([prefixes] if single else prefixes)]
+        held = contexts.prefix_kv
+        with T.no_grad():
+            out = D.decode_distributions(
+                self.params, self.cfg, [t for p in batch for t in p],
+                contexts, lengths=[len(p) for p in batch],
+                past=[held.get(p[:-1]) for p in batch])
+        held.update(zip(batch, out.kv))
         return out.p_star.data[0] if single else out.p_star.data

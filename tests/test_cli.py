@@ -156,6 +156,25 @@ def test_stats_missing_input_exit_2(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+def _without_field(prep_dir, tmp_path, field):
+    """The processed set with `field` dropped from its second line."""
+    lines = (prep_dir / "processed.jsonl").read_text().splitlines()
+    second = json.loads(lines[1])
+    del second[field]
+    path = tmp_path / "processed.jsonl"
+    path.write_text("\n".join([lines[0], json.dumps(second)] + lines[2:])
+                    + "\n")
+    return path
+
+
+def test_stats_missing_field_exit_2(tmp_path, prep_dir, capsys):
+    processed = _without_field(prep_dir, tmp_path, "source")
+    assert run(["stats", "--processed", str(processed),
+                "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "'source'" in err
+
+
 # ---------------------------------------------------------------------------
 # train / caption / evaluate
 
@@ -281,6 +300,42 @@ def test_evaluate_empty_set_exit_2(tmp_path, train_dir, prep_dir, synth_dir,
                           processed=processed,
                           limit=None if empty_file else -n) == 2
     assert not (tmp_path / "eval" / "report.json").exists()
+
+
+def test_evaluate_missing_field_exit_2(tmp_path, train_dir, prep_dir,
+                                      synth_dir, capsys):
+    processed = _without_field(prep_dir, tmp_path, "caption_ids")
+    assert _evaluate_with(tmp_path, train_dir, prep_dir, synth_dir,
+                          processed=processed) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and "'caption_ids'" in err
+    assert not (tmp_path / "eval" / "report.json").exists()
+
+
+def test_vocab_ids_times_ten_exit_2(tmp_path, train_dir, prep_dir, synth_dir,
+                                   capsys):
+    ids = json.loads((prep_dir / "vocab.json").read_text())
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(json.dumps({t: 10 * i for t, i in ids.items()}))
+    assert _evaluate_with(tmp_path, train_dir, prep_dir, synth_dir,
+                          vocab=vocab) == 2
+    assert "vocabulary ids must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "caption", "train"])
+@pytest.mark.parametrize("limit", [0, -2])
+def test_limit_below_one_exit_2(tmp_path, train_dir, prep_dir, synth_dir,
+                                capsys, command, limit):
+    io = ["--processed", str(prep_dir / "processed.jsonl"),
+          "--vocab", str(prep_dir / "vocab.json"),
+          "--features", str(synth_dir), "--limit", str(limit),
+          "--out", str(tmp_path / "o")]
+    extra = {"train": ["--val", str(prep_dir / "processed.jsonl")]}.get(
+        command, ["--checkpoint", str(train_dir / "checkpoint.bin")])
+    assert run([command] + io + extra) == 2
+    assert "--limit must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
+    assert not (tmp_path / "o" / "checkpoint.bin").exists()
 
 
 @pytest.mark.parametrize("field,bad", [("article_ids", -1),

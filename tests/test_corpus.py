@@ -169,6 +169,28 @@ def test_vocab_load_rejects_missing_specials(tmp_path):
         Vocabulary.load(p)
 
 
+def _renumbered(ids):
+    """A saved vocabulary's token -> id map with `ids` for its ids."""
+    tokens = C.build_vocab([["x", "x", "y", "y"]], min_freq=1).decode(
+        range(len(ids)))
+    return dict(zip(tokens, ids))
+
+
+@pytest.mark.parametrize("ids", [
+    [10 * i for i in range(24)],
+    list(range(23)) + [24],
+    list(range(23)) + [22],
+    list(range(23)) + [23.0],
+    list(range(23)) + ["23"],
+    [True] + list(range(1, 24)),
+], ids=["times-ten", "gap", "duplicate", "float", "string", "bool"])
+def test_vocab_load_rejects_ids_other_than_0_to_n(tmp_path, ids):
+    p = tmp_path / "vocab.json"
+    p.write_text(json.dumps(_renumbered(ids)))
+    with pytest.raises(CorpusError, match="0..23"):
+        Vocabulary.load(p)
+
+
 def test_vocab_unknown_token_maps_to_unk():
     v = Vocabulary(["known"])
     assert v.id_of("unknown-token") == v.unk_id
@@ -318,6 +340,20 @@ def test_processed_sample_serialization_round_trip():
     again = ProcessedSample.from_json(out.to_json())
     assert again == out
     assert again.to_json() == out.to_json()
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('{"id": "x"}', "line 3: missing field 'source'"),
+    ("not json", "line 3: malformed sample"),
+    ("[1, 2]", "line 3: malformed sample"),
+], ids=["missing-field", "not-json", "not-an-object"])
+def test_load_processed_names_the_bad_line(tmp_path, bad, message):
+    s = raw(article="Alpha beta gamma delta .", caption="One two three .")
+    good = C.encode_sample(s, _vocab_for(s)).to_json()
+    path = tmp_path / "processed.jsonl"
+    path.write_text("\n".join([good, "", bad, good]) + "\n")
+    with pytest.raises(CorpusError, match=message):
+        C.load_processed(path)
 
 
 def test_preprocessing_deterministic():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from newscap import decoder as D
 from newscap import tensor as T
 from newscap.corpus import EntityMention, ProcessedSample, Vocabulary
+from newscap.encoder import project_kv
 from newscap.model import CaptionModel, ModelConfig, build_copy_maps, init_params
 
 
@@ -61,8 +62,13 @@ def fp64():
 # masking
 
 
+def one_sequence(n):
+    """The (sequence, position) labels of n rows of one sequence."""
+    return np.zeros(n, dtype=np.int64), np.arange(n)
+
+
 def test_causal_mask_shape():
-    m = D.causal_mask(3)
+    m = D.causal_mask(one_sequence(3), one_sequence(3))
     assert m.tolist() == [[True, False, False],
                           [True, True, False],
                           [True, True, True]]
@@ -72,9 +78,11 @@ def test_masked_self_aoa_single_position_equals_unmasked(seed=0):
     from newscap.encoder import aoa
     params = init_params(tiny_cfg(), seed=seed)
     x = T.Tensor(np.random.default_rng(1).normal(size=(1, 8)))
-    masked = D.masked_self_aoa(params, "dec/l0/self", x, heads=2).data
-    unmasked, _ = aoa(params, "dec/l0/self", x, x, x, heads=2)
-    assert np.array_equal(masked, unmasked.data)
+    masked, _ = D.masked_self_aoa(params, "dec/l0/self", x, 2,
+                                  one_sequence(1))
+    unmasked, _ = aoa(params, "dec/l0/self", x,
+                      project_kv(params, "dec/l0/self", x, 2), heads=2)
+    assert np.array_equal(masked.data, unmasked.data)
 
 
 def test_masked_self_aoa_causality():
@@ -83,8 +91,10 @@ def test_masked_self_aoa_causality():
     x1 = rng.normal(size=(4, 8))
     x2 = x1.copy()
     x2[3] += 1.0  # perturb the last position only
-    a = D.masked_self_aoa(params, "dec/l0/self", T.Tensor(x1), heads=2).data
-    b = D.masked_self_aoa(params, "dec/l0/self", T.Tensor(x2), heads=2).data
+    a = D.masked_self_aoa(params, "dec/l0/self", T.Tensor(x1), 2,
+                          one_sequence(4))[0].data
+    b = D.masked_self_aoa(params, "dec/l0/self", T.Tensor(x2), 2,
+                          one_sequence(4))[0].data
     assert np.array_equal(a[:3], b[:3])  # bit-identical
     assert not np.allclose(a[3], b[3])
 
@@ -99,8 +109,9 @@ def test_multimodal_single_article_row_attention_is_one():
     xa = T.Tensor(rng.normal(size=(2, 8)))
     vproj = T.Tensor(rng.normal(size=(3, 8)))
     art = T.Tensor(rng.normal(size=(1, 8)))
-    _, _, _, a_att, e_att = D.multimodal_aoa(params, "dec/l0", xa, vproj, art,
-                                             None, heads=2)
+    _, _, _, a_att, e_att = D.multimodal_aoa(
+        params, "dec/l0", xa, project_kv(params, "dec/l0/img", vproj, 2),
+        project_kv(params, "dec/l0/art", art, 2), None, heads=2)
     assert np.allclose(a_att.averaged_weights().data, 1.0)
     assert e_att is None
 
@@ -111,8 +122,9 @@ def test_multimodal_empty_entities_zero_context():
     xa = T.Tensor(rng.normal(size=(2, 8)))
     vproj = T.Tensor(rng.normal(size=(3, 8)))
     art = T.Tensor(rng.normal(size=(4, 8)))
-    _, _, e_ctx, a_att, _ = D.multimodal_aoa(params, "dec/l0", xa, vproj, art,
-                                             None, heads=2)
+    _, _, e_ctx, a_att, _ = D.multimodal_aoa(
+        params, "dec/l0", xa, project_kv(params, "dec/l0/img", vproj, 2),
+        project_kv(params, "dec/l0/art", art, 2), None, heads=2)
     assert np.array_equal(e_ctx.data, np.zeros((2, 8)))
     assert np.allclose(a_att.averaged_weights().data.sum(axis=1), 1.0,
                        atol=1e-6)
@@ -306,7 +318,7 @@ def test_no_entities_degrades_gracefully():
     sample = make_sample()
     sample.entities = []
     sample, ctx = encode(model, sample)
-    assert ctx.entities is None
+    assert all(ent is None for _, _, ent in ctx.memory)
     _, _, out = model.loss(sample, ctx, collect_steps=True)
     for step in out.steps:
         assert step.a_e is None
@@ -394,3 +406,94 @@ def test_stacked_prefixes_match_single_prefix_calls(pointer, entities):
     for row, prefix in zip(stacked, prefixes):
         np.testing.assert_allclose(row, model.next_token_dist(prefix, ctx),
                                    rtol=1e-6, atol=0)
+
+
+def record_rows(monkeypatch):
+    """The number of rows each decoder call runs, one entry per call."""
+    runs = []
+    embed = D.embed_positions
+
+    def recording(params, ids, positions, pos=None):
+        runs.append(len(ids))
+        return embed(params, ids, positions, pos)
+
+    monkeypatch.setattr(D, "embed_positions", recording)
+    return runs
+
+
+def full_run(model, prefix, ctx):
+    """The distribution after `prefix` from a decoder call with no past."""
+    return D.decode_distributions(model.params, model.cfg, prefix,
+                                  ctx).p_star.data[-1]
+
+
+@pytest.mark.parametrize("dec_layers", [1, 2])
+def test_stepping_a_caption_runs_one_row_per_step(monkeypatch, dec_layers):
+    model = make_model(seed=26, dec_layers=dec_layers)
+    sample, ctx = encode(model)
+    ids = sample.caption_ids
+    expect = [full_run(model, ids[:t], ctx) for t in range(1, len(ids) + 1)]
+    runs = record_rows(monkeypatch)
+    for t in range(1, len(ids) + 1):
+        np.testing.assert_allclose(model.next_token_dist(ids[:t], ctx),
+                                   expect[t - 1], rtol=1e-6, atol=0)
+    assert runs == [1] * len(ids)
+
+
+@pytest.mark.parametrize("entities", [True, False])
+def test_stacked_held_and_new_parents_match_full_runs(monkeypatch, entities):
+    model = make_model(seed=27, dec_layers=2)
+    sample = make_sample()
+    if not entities:
+        sample.entities = []
+    sample, ctx = encode(model, sample)
+    ids = sample.caption_ids
+    model.next_token_dist([ids[:2], ids[:3]], ctx)
+    # parents held: ids[:2], ids[:3], ids[:3]; never stepped: ids[:1]'s
+    # (the empty prefix) and (BOS, ids[3])
+    prefixes = [ids[:3], ids[:4], [ids[0], ids[3], ids[1]], ids[:1],
+                ids[:3] + [ids[1]]]
+    runs = record_rows(monkeypatch)
+    stacked = model.next_token_dist(prefixes, ctx)
+    assert runs == [1 + 1 + 3 + 1 + 1]
+    for row, prefix in zip(stacked, prefixes):
+        np.testing.assert_allclose(row, full_run(model, prefix, ctx),
+                                   rtol=1e-6, atol=0)
+
+
+def test_prefix_with_unstepped_parent_runs_whole(monkeypatch):
+    model = make_model(seed=28, dec_layers=2)
+    sample, ctx = encode(model)
+    ids = sample.caption_ids
+    expect = full_run(model, ids[:4], ctx)
+    runs = record_rows(monkeypatch)
+    got = model.next_token_dist(ids[:4], ctx)
+    assert runs == [4]
+    np.testing.assert_allclose(got, expect, rtol=1e-6, atol=0)
+    # its child then runs its last token over the held prefix
+    np.testing.assert_allclose(model.next_token_dist(ids[:5], ctx),
+                               full_run(model, ids[:5], ctx), rtol=1e-6,
+                               atol=0)
+    assert runs[1] == 1
+
+
+def test_held_step_cost_does_not_grow_with_the_prefix(monkeypatch):
+    model = make_model(seed=29, dec_layers=2, max_pos=32)
+    sample, ctx = encode(model)
+    ids = [VOCAB.bos_id] + list(
+        np.random.default_rng(30).integers(0, len(VOCAB), size=29))
+    created = []
+    init = T.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        created[-1] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(T.Tensor, "__init__", counting)
+    runs = record_rows(monkeypatch)
+    for t in range(1, len(ids) + 1):
+        created.append(0)
+        model.next_token_dist(ids[:t], ctx)
+    assert created[1] == created[29] > 0
+    assert len(set(created[1:])) == 1
+    assert runs == [1] * len(ids)

@@ -41,6 +41,11 @@ def table(params, length=None):
     return E.position_lstm(params, tiny_cfg(), length or tiny_cfg().max_pos)
 
 
+def stacked(lengths):
+    """The positions of sequences of these lengths stacked row-wise."""
+    return np.concatenate([np.arange(k) for k in lengths])
+
+
 # ---------------------------------------------------------------------------
 # position embeddings
 
@@ -91,7 +96,7 @@ def test_embed_positions_length_checks(params):
         E.embed_positions(params, [0, 1, 2], table(params, 2))
     with pytest.raises(ValueError):
         E.embed_positions(params, [0, 1, 2, 3], table(params, 2),
-                          lengths=[1, 3])
+                          pos=stacked([1, 3]))
 
 
 @pytest.mark.parametrize("ids,lengths", [
@@ -102,8 +107,9 @@ def test_embed_positions_longer_table_is_bit_identical(params, ids, lengths):
     exact = table(params, len(ids) if lengths is None else max(lengths))
     full = table(params)
     assert full.shape[0] > exact.shape[0]
-    a = E.embed_positions(params, ids, exact, lengths=lengths).data
-    b = E.embed_positions(params, ids, full, lengths=lengths).data
+    pos = None if lengths is None else stacked(lengths)
+    a = E.embed_positions(params, ids, exact, pos=pos).data
+    b = E.embed_positions(params, ids, full, pos=pos).data
     assert np.array_equal(a, b)
     if lengths is not None:
         # each stacked sequence embeds as it would on its own
@@ -121,7 +127,8 @@ def test_embed_positions_longer_table_is_bit_identical(params, ids, lengths):
 def test_mh_attention_single_key(params):
     q = T.Tensor(np.random.default_rng(0).normal(size=(2, 8)))
     kv = T.Tensor(np.random.default_rng(1).normal(size=(1, 8)))
-    res = E.mh_attention(params, "enc/l0/self", q, kv, kv, heads=2)
+    res = E.mh_attention(params, "enc/l0/self", q,
+                         E.project_kv(params, "enc/l0/self", kv, 2), heads=2)
     assert res.weights.shape == (2, 2, 1)
     assert np.allclose(res.weights.data, 1.0)
 
@@ -131,7 +138,9 @@ def test_mh_attention_identical_keys_uniform(params):
     q = T.Tensor(rng.normal(size=(2, 8)))
     k = T.Tensor(np.tile(rng.normal(size=(1, 8)), (4, 1)))
     v = T.Tensor(rng.normal(size=(4, 8)))
-    res = E.mh_attention(params, "enc/l0/self", q, k, v, heads=2)
+    keys, _ = E.project_kv(params, "enc/l0/self", k, 2)
+    _, values = E.project_kv(params, "enc/l0/self", v, 2)
+    res = E.mh_attention(params, "enc/l0/self", q, (keys, values), heads=2)
     assert np.allclose(res.weights.data, 0.25)
 
 
@@ -139,7 +148,8 @@ def test_mh_attention_rows_sum_to_one(params):
     rng = np.random.default_rng(3)
     q = T.Tensor(rng.normal(size=(3, 8)))
     kv = T.Tensor(rng.normal(size=(4, 8)))
-    res = E.mh_attention(params, "enc/l0/self", q, kv, kv, heads=2)
+    res = E.mh_attention(params, "enc/l0/self", q,
+                         E.project_kv(params, "enc/l0/self", kv, 2), heads=2)
     assert np.allclose(res.weights.data.sum(axis=-1), 1.0, atol=1e-6)
     assert (res.weights.data >= 0).all()
 
@@ -150,13 +160,18 @@ def test_mh_attention_fully_masked_row_errors(params):
     kv = T.Tensor(rng.normal(size=(2, 8)))
     mask = np.array([[True, True], [False, False]])
     with pytest.raises(ValueError):
-        E.mh_attention(params, "enc/l0/self", q, kv, kv, heads=2, mask=mask)
+        E.mh_attention(params, "enc/l0/self", q,
+                       E.project_kv(params, "enc/l0/self", kv, 2), heads=2,
+                       mask=mask)
 
 
 def test_mh_attention_head_count_must_divide(params):
     q = T.Tensor(np.zeros((1, 8)))
     with pytest.raises(ValueError):
-        E.mh_attention(params, "enc/l0/self", q, q, q, heads=3)
+        E.project_kv(params, "enc/l0/self", q, 3)
+    with pytest.raises(ValueError):
+        E.mh_attention(params, "enc/l0/self", q,
+                       E.project_kv(params, "enc/l0/self", q, 2), heads=3)
 
 
 def _oracle_mha(params, pfx, q, k, v, heads, mask=None):
@@ -194,7 +209,8 @@ def test_aoa_saturated_zero_gate(params):
     params["enc/l0/self/gate_bg"].data[:] = -1e6
     rng = np.random.default_rng(5)
     q = T.Tensor(rng.normal(size=(3, 8)))
-    out, _ = E.aoa(params, "enc/l0/self", q, q, q, heads=2)
+    out, _ = E.aoa(params, "enc/l0/self", q,
+                   E.project_kv(params, "enc/l0/self", q, 2), heads=2)
     assert np.abs(out.data).max() < 1e-12
 
 
@@ -208,7 +224,8 @@ def test_aoa_projector_recovers_attended_vector(params):
     rng = np.random.default_rng(6)
     q = T.Tensor(rng.normal(size=(3, 8)))
     kv = T.Tensor(rng.normal(size=(4, 8)))
-    out, att = E.aoa(params, "enc/l0/self", q, kv, kv, heads=2)
+    out, att = E.aoa(params, "enc/l0/self", q,
+                     E.project_kv(params, "enc/l0/self", kv, 2), heads=2)
     assert np.allclose(out.data, att.out.data, atol=1e-12)
 
 
@@ -219,8 +236,9 @@ def test_aoa_matches_straight_line_oracle(params, heads, mask):
     rng = np.random.default_rng(7)
     q = rng.normal(size=(3, 8))
     kv = rng.normal(size=(4, 8))
-    out, _ = E.aoa(params, "enc/l0/self", T.Tensor(q), T.Tensor(kv),
-                   T.Tensor(kv), heads=heads, mask=mask)
+    out, _ = E.aoa(params, "enc/l0/self", T.Tensor(q),
+                   E.project_kv(params, "enc/l0/self", T.Tensor(kv), heads),
+                   heads=heads, mask=mask)
     expect = _oracle_aoa(params, "enc/l0/self", q, kv, kv, heads=heads,
                          mask=mask)
     assert np.allclose(out.data, expect, atol=1e-6)
@@ -233,7 +251,8 @@ def test_aoa_finite_differences(params):
 
     def fn(p):
         out, _ = E.aoa(p, "enc/l0/self", T.Tensor(q.copy()),
-                       T.Tensor(q.copy()), T.Tensor(q.copy()), heads=2)
+                       E.project_kv(p, "enc/l0/self", T.Tensor(q.copy()), 2),
+                       heads=2)
         return T.sum_all(T.tanh(out))
 
     report = T.finite_diff_check(fn, sub, coords_per_param=4)

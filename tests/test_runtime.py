@@ -339,7 +339,8 @@ def test_decode_sample_encodes_once_without_tape(tmp_path, monkeypatch):
                     max_len=model.cfg.max_pos)
     assert lstm_calls == [model.cfg.max_pos]
     ctx, = contexts
-    assert ctx.article._bw is None and ctx.entities._bw is None
+    assert all(t._bw is None for layer in ctx.memory for kv in layer
+               for t in kv)
 
 
 # ---------------------------------------------------------------------------
