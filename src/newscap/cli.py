@@ -20,7 +20,7 @@ import numpy as np
 from . import corpus, runtime, synth
 from . import tensor as T
 from .corpus import CorpusError
-from .features import FeatureStore
+from .features import FeatureError, FeatureStore
 from .gradcheck import model_grad_check
 from .metrics import format_report
 from .model import ModelConfig
@@ -223,9 +223,10 @@ def _check_positions(max_pos, samples, decode_len, captions=False):
             "longest article, caption or decode length needs")
 
 
-def _check_decode(args, model, samples):
+def _check_decode(args, model, samples, store):
     if args.beam < 1:
         raise InputError(f"--beam must be at least 1, got {args.beam}")
+    store.check([s.feature_ref for s in samples], model.cfg.feat_dim)
     # a beam scores a caption cut at the decode length with one more step,
     # for its EOS term
     wide = args.decode == "beam" and args.beam > 1
@@ -240,6 +241,8 @@ def cmd_train(args):
     cfg = _resolved_train_config(args, vocab)
     _check_positions(cfg.model.max_pos, train_samples + val_samples,
                      cfg.max_decode_len, captions=True)
+    store.check([s.feature_ref for s in train_samples + val_samples],
+                cfg.model.feat_dim)
     log_path = os.path.join(out, "train_log.jsonl")
     ckpt_path = os.path.join(out, "checkpoint.bin")
     with open(log_path, "w", encoding="utf-8") as log_fh:
@@ -270,7 +273,7 @@ def cmd_caption(args):
     vocab, samples, store = _load_model_inputs(args)
     model = _load_model(args, vocab)
     samples = samples[:args.limit or 1]
-    _check_decode(args, model, samples)
+    _check_decode(args, model, samples, store)
     with T.no_grad():
         positions = model.position_table()
     for s in samples:
@@ -287,7 +290,7 @@ def cmd_evaluate(args):
     out = _ensure_out(args)
     vocab, samples, store = _load_model_inputs(args)
     model = _load_model(args, vocab)
-    _check_decode(args, model, samples)
+    _check_decode(args, model, samples, store)
     report = runtime.evaluate(model, samples, store, decode=args.decode,
                               beam=args.beam)
     report_path = os.path.join(out, "report.json")
@@ -386,7 +389,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, CorpusError) as e:
+    except (InputError, CorpusError, FeatureError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (runtime.TrainingDiverged, FloatingPointError) as e:

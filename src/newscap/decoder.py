@@ -64,7 +64,7 @@ def multimodal_aoa(params, pfx, xa, img, art, ent, heads, drop=None):
     if ent is not None:
         e_ctx, e_att = aoa(params, pfx + "/ent", xa, ent, heads, drop=drop)
     else:
-        e_ctx = T.Tensor(np.zeros(xa.data.shape, dtype=xa.data.dtype))
+        e_ctx = T.Constant(np.zeros(xa.data.shape, dtype=xa.data.dtype))
         e_att = None
     return v_ctx, a_ctx, e_ctx, a_att, e_att
 
@@ -93,7 +93,7 @@ def pointer_mix(params, x0, v_ctx, a_ctx, e_ctx, a_v, a_e, p_s,
         q_gen = T.sigmoid(T.matmul(T.concat([x0, e_ctx, v_ctx], axis=1),
                                    params["ptr/wq"]) + params["ptr/bq"])
     else:
-        q_gen = T.Tensor(np.zeros(p_gen.data.shape, dtype=dtype))
+        q_gen = T.Constant(np.zeros(p_gen.data.shape, dtype=dtype))
     w_s = T.relu(1.0 - p_gen - q_gen)
     denom = p_gen + q_gen + w_s
     rows = a_v.shape[0]

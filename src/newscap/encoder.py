@@ -65,11 +65,11 @@ def mh_attention(params, pfx, q, kv, heads, mask=None):
         mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=1).all():
             raise ValueError("attention row with no attendable key")
-        penalty = np.where(mask, 0.0, -1e9).astype(q.data.dtype)
+        penalty = T.Constant(np.where(mask, 0.0, -1e9).astype(q.data.dtype))
     qh = _split_heads(q, params[pfx + "/wq"], heads, (1, 0, 2))
     scores = T.matmul(qh, keys) * scale
     if mask is not None:
-        scores = scores + T.Tensor(penalty)
+        scores = scores + penalty
     w = T.softmax(scores, axis=-1)
     ctx = T.reshape(T.transpose(T.matmul(w, values), (1, 0, 2)),
                     (q.shape[0], h))
@@ -102,22 +102,7 @@ def position_lstm(params, cfg, length):
         raise ValueError(
             f"sequence length {length} exceeds position table {cfg.max_pos}")
     x = T.take(params["emb/pos"], np.s_[:length])
-    wx, wh, b = (params["emb/lstm/" + k] for k in ("wx", "wh", "b"))
-    h_dim = x.shape[1]
-    h = T.Tensor(np.zeros((1, h_dim), dtype=x.data.dtype))
-    c = T.Tensor(np.zeros((1, h_dim), dtype=x.data.dtype))
-    outs = []
-    for t in range(length):
-        row = T.take(x, np.s_[t:t + 1])
-        gates = T.matmul(row, wx) + T.matmul(h, wh) + b
-        i = T.sigmoid(T.take(gates, np.s_[:, :h_dim]))
-        f = T.sigmoid(T.take(gates, np.s_[:, h_dim:2 * h_dim]))
-        g = T.tanh(T.take(gates, np.s_[:, 2 * h_dim:3 * h_dim]))
-        o = T.sigmoid(T.take(gates, np.s_[:, 3 * h_dim:4 * h_dim]))
-        c = f * c + i * g
-        h = o * T.tanh(c)
-        outs.append(h)
-    return T.concat(outs, axis=0)
+    return T.lstm(x, *(params["emb/lstm/" + k] for k in ("wx", "wh", "b")))
 
 
 def embed_positions(params, ids, positions, pos=None):
@@ -139,7 +124,7 @@ def embed_positions(params, ids, positions, pos=None):
 
 def project_image(params, grid):
     """Per-patch affine map of raw image features [K x D] -> [K x H]."""
-    feats = T.Tensor(np.asarray(grid))
+    feats = T.Constant(np.asarray(grid))
     if feats.shape[1] != params["img/proj/w"].shape[0]:
         raise ValueError("image feature dim does not match projection")
     return T.matmul(feats, params["img/proj/w"]) + params["img/proj/b"]

@@ -36,11 +36,24 @@ def save_features(grid, path):
         fh.write("\n")
 
 
+def _read_sidecar(path):
+    """The sidecar {k, d, checksum} of the feature file at path."""
+    try:
+        with open(_sidecar_path(path), encoding="utf-8") as fh:
+            sidecar = json.load(fh)
+        return {key: sidecar[key] for key in ("k", "d", "checksum")}
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise FeatureError(f"cannot read the sidecar of {path}: "
+                           f"{type(e).__name__}: {e}")
+
+
 def load_features(path):
-    with open(_sidecar_path(path), encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    sidecar = _read_sidecar(path)
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as e:
+        raise FeatureError(f"cannot read feature file {path}: {e}")
     if hashlib.sha256(blob).hexdigest() != sidecar["checksum"]:
         raise FeatureError(f"feature checksum mismatch for {path}")
     grid = np.frombuffer(blob, dtype="<f4").reshape(sidecar["k"], sidecar["d"])
@@ -61,8 +74,21 @@ class FeatureStore:
         self.root = root
         self._cache = {}
 
+    def _path(self, ref):
+        return ref if os.path.isabs(ref) else os.path.join(self.root, ref)
+
     def get(self, ref):
         if ref not in self._cache:
-            path = ref if os.path.isabs(ref) else os.path.join(self.root, ref)
-            self._cache[ref] = load_features(path)
+            self._cache[ref] = load_features(self._path(ref))
         return self._cache[ref]
+
+    def check(self, refs, feat_dim):
+        """Reject, before any work, a ref whose sidecar is missing or
+        unreadable or whose grids are not feat_dim wide."""
+        for ref in dict.fromkeys(refs):
+            path = self._path(ref)
+            d = _read_sidecar(path)["d"]
+            if d != feat_dim:
+                raise FeatureError(
+                    f"{path} holds {d}-wide features; the model's feat_dim "
+                    f"is {feat_dim}")

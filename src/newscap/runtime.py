@@ -172,12 +172,16 @@ def load_checkpoint(path):
 def _top_ids(dist, k):
     """The k most probable ids, best first; ties go to the lowest id. Ranks
     the probabilities themselves, since float32 log rounding could merge two
-    distinct ones. Equals np.argsort(-dist, kind="stable")[:k] without
-    sorting the whole vocabulary."""
-    k = min(k, len(dist))
-    kth = np.partition(dist, len(dist) - k)[len(dist) - k]
-    ids = np.flatnonzero(dist >= kth)
-    return ids[np.argsort(-dist[ids], kind="stable")][:k]
+    distinct ones. Equals np.argsort(-dist, kind="stable")[:k] by k passes
+    of argmax, which returns the lowest id among ties: a partition slows
+    down on rows of many tied values, as an untrained model's mostly-zero
+    mixed distributions are."""
+    rest = np.array(dist)
+    ids = []
+    for _ in range(min(k, len(rest))):
+        ids.append(int(rest.argmax()))
+        rest[ids[-1]] = -np.inf
+    return np.asarray(ids, dtype=np.int64)
 
 
 def beam_search(step_fn, bos_id, eos_id, max_len, beam, alpha=0.7):
@@ -349,12 +353,14 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
             batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
             T.zero_grads(model.params)
             inv = 1.0 / len(batch)
-            # the parameters stay fixed within a batch: one position table,
-            # on the tape, for its longest sequence, and one backward over
-            # the summed loss
-            positions = model.position_table(max(
+            # the parameters stay fixed within a batch: one position table
+            # for its longest sequence. Each sample's tape reads it as a
+            # leaf and runs its own backward, so one tape is alive at a
+            # time; the table's summed gradient then goes back through the
+            # LSTM once.
+            table = model.position_table(max(
                 max(len(s.article_ids), len(s.caption_ids) - 1) for s in batch))
-            total = None
+            positions = T.Tensor(table.data)
             for s in batch:
                 drop = model.dropout_ctx(rng)
                 ctx = model.encode(s, feature_store.get(s.feature_ref),
@@ -365,8 +371,8 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
                         f"non-finite loss at epoch {epoch}, sample {s.id}")
                 epoch_loss += loss.item()
                 epoch_tokens += len(s.caption_ids) - 1
-                total = loss if total is None else total + loss
-            T.backward(total * inv)
+                T.backward(loss * inv)
+            T.backward(table, positions.grad)
             T.adam_step(model.params, T.collect_grads(model.params), adam)
             step += 1
         per_token = epoch_loss / max(epoch_tokens, 1)

@@ -5,8 +5,10 @@ the captioning model needs; matmul, transpose and reshape also take stacked
 matrices, so attention runs its heads along a leading axis. Every index
 operation is one of a single adjoint pair: take gathers (slices, embedding
 rows, per-row targets) and scatter_add adds back (the copy distributions,
-per-mention sums). Ops record backward closures onto the tensors they
-produce; backward() runs the chain rule over a topological sort.
+per-mention sums). The position LSTM is one op, lstm, with hand-written
+backpropagation through time. Ops record backward closures onto the tensors
+they produce; backward() runs the chain rule over a topological sort. An op
+computes no gradient for a Constant operand.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ def _register(out, bw):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_bw")
+    __slots__ = ("data", "grad", "_parents", "_bw", "_rows_grad")
+    requires_grad = True
 
     def __init__(self, data, _parents=(), _bw=None):
         if isinstance(data, np.ndarray) and data.dtype in (np.float32, np.float64):
@@ -97,9 +100,24 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def _accum(self, g):
+        """Add g to the gradient. The first g is kept as it is, unless it is
+        not C-contiguous: a strided view would round later products
+        differently. Later ones add out of place, since an op may hand one
+        array to two operands (add gives out.grad to both)."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = g if g.flags.c_contiguous else np.ascontiguousarray(g)
+        else:
+            self.grad = self.grad + g
+
+    def _accum_rows(self, ids, rows):
+        """Add rows at the unique row ids, in place, into a gradient that
+        this path allocated: zeros on the first call, a copy when _accum set
+        the gradient, since its first array may be shared."""
+        if self.grad is None:
+            self._rows_grad = self.grad = np.zeros_like(self.data)
+        elif getattr(self, "_rows_grad", None) is not self.grad:
+            self._rows_grad = self.grad = self.grad.copy()
+        self.grad[ids] += rows
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -130,10 +148,17 @@ class Tensor:
         return mul(self, _wrap(-1.0, self))
 
 
+class Constant(Tensor):
+    """A tensor that takes no gradient (a scalar, a mask penalty, a zero
+    placeholder, an input): ops skip the backward of such an operand."""
+    __slots__ = ()
+    requires_grad = False
+
+
 def _wrap(x, like):
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
+    return Constant(np.asarray(x, dtype=like.data.dtype))
 
 
 def _unbroadcast(grad, shape):
@@ -150,8 +175,10 @@ def add(a, b):
     out = Tensor(a.data + b.data, (a, b))
 
     def bw():
-        a._accum(_unbroadcast(out.grad, a.data.shape))
-        b._accum(_unbroadcast(out.grad, b.data.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(out.grad, b.data.shape))
 
     _register(out, bw)
     return out
@@ -161,8 +188,10 @@ def sub(a, b):
     out = Tensor(a.data - b.data, (a, b))
 
     def bw():
-        a._accum(_unbroadcast(out.grad, a.data.shape))
-        b._accum(_unbroadcast(-out.grad, b.data.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(out.grad, a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(-out.grad, b.data.shape))
 
     _register(out, bw)
     return out
@@ -172,8 +201,10 @@ def mul(a, b):
     out = Tensor(a.data * b.data, (a, b))
 
     def bw():
-        a._accum(_unbroadcast(out.grad * b.data, a.data.shape))
-        b._accum(_unbroadcast(out.grad * a.data, b.data.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(out.grad * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(out.grad * a.data, b.data.shape))
 
     _register(out, bw)
     return out
@@ -183,8 +214,11 @@ def div(a, b):
     out = Tensor(a.data / b.data, (a, b))
 
     def bw():
-        a._accum(_unbroadcast(out.grad / b.data, a.data.shape))
-        b._accum(_unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(out.grad / b.data, a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(-out.grad * a.data / (b.data * b.data),
+                                  b.data.shape))
 
     _register(out, bw)
     return out
@@ -201,10 +235,12 @@ def matmul(a, b):
     out = Tensor(a.data @ b.data, (a, b))
 
     def bw():
-        a._accum(_unbroadcast(out.grad @ np.swapaxes(b.data, -1, -2),
-                              a.data.shape))
-        b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ out.grad,
-                              b.data.shape))
+        if a.requires_grad:
+            a._accum(_unbroadcast(out.grad @ np.swapaxes(b.data, -1, -2),
+                                  a.data.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ out.grad,
+                                  b.data.shape))
 
     _register(out, bw)
     return out
@@ -358,6 +394,14 @@ def take(a, index):
     out = Tensor(a.data[index], (a,))
 
     def bw():
+        if isinstance(index, np.ndarray) and index.ndim == 1:
+            # row ids: sum the picked rows per id, in index order, and add
+            # only those rows
+            ids, at = np.unique(index, return_inverse=True)
+            rows = np.zeros((len(ids),) + out.grad.shape[1:], out.grad.dtype)
+            np.add.at(rows, at, out.grad)
+            a._accum_rows(ids, rows)
+            return
         g = np.zeros_like(a.data)
         np.add.at(g, index, out.grad)
         a._accum(g)
@@ -422,13 +466,77 @@ def log_clamped(x, floor=1e-12):
     return out
 
 
-def backward(loss):
-    """Populate .grad for every tensor reachable from `loss` (a scalar)."""
-    if loss.data.size != 1:
-        raise ValueError("backward requires a scalar loss")
+def lstm(x, wx, wh, b):
+    """An LSTM over the rows of x [L x H] from a zero state; returns its
+    hidden states [L x H]. The gates are the column blocks (i, f, g, o) of
+    x_t wx + h_{t-1} wh + b. The forward steps one row at a time; the
+    backward is backpropagation through time into one gates-gradient array,
+    then one product per weight."""
+    n, hd = x.data.shape[0], wh.data.shape[0]
+    dtype = x.data.dtype
+    acts = np.empty((n, 4 * hd), dtype)     # i, f, g, o after activation
+    cs = np.empty((n, hd), dtype)
+    hs = np.empty((n, hd), dtype)
+    h = np.zeros((1, hd), dtype)
+    c = np.zeros((1, hd), dtype)
+    # saturated gates overflow exp but land on exact 0/1, which is fine
+    with np.errstate(over="ignore"):
+        for t in range(n):
+            z = x.data[t:t + 1] @ wx.data + h @ wh.data + b.data
+            i = 1.0 / (1.0 + np.exp(-z[:, :hd]))
+            f = 1.0 / (1.0 + np.exp(-z[:, hd:2 * hd]))
+            g = np.tanh(z[:, 2 * hd:3 * hd])
+            o = 1.0 / (1.0 + np.exp(-z[:, 3 * hd:]))
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            acts[t:t + 1] = np.concatenate([i, f, g, o], axis=1)
+            cs[t:t + 1] = c
+            hs[t:t + 1] = h
+    out = Tensor(hs, (x, wx, wh, b))
+
+    def bw():
+        i, f, g, o = (acts[:, k * hd:(k + 1) * hd] for k in range(4))
+        tc = np.tanh(cs)
+        zero = np.zeros((1, hd), dtype)
+        h_prev = np.concatenate([zero, hs[:-1]])
+        c_prev = np.concatenate([zero, cs[:-1]])
+        # per row: dc/dz for the i, f and g pre-activations z, dh/dz for
+        # the o pre-activation, and dh/dc
+        k_c = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
+                        i * (1.0 - g * g)], axis=1)
+        k_h = tc * o * (1.0 - o)
+        k_hc = o * (1.0 - tc * tc)
+        wh_t = wh.data.T
+        dgates = np.empty((n, 4 * hd), dtype)
+        d4 = dgates.reshape(n, 4, hd)
+        dh_next = np.zeros(hd, dtype)
+        dc_next = np.zeros(hd, dtype)
+        for t in range(n - 1, -1, -1):
+            dh = out.grad[t] + dh_next
+            dc = dh * k_hc[t] + dc_next
+            np.multiply(dc, k_c[t], out=d4[t, :3])
+            np.multiply(dh, k_h[t], out=d4[t, 3])
+            dc_next = dc * f[t]
+            dh_next = dgates[t] @ wh_t
+        x._accum(dgates @ wx.data.T)
+        wx._accum(x.data.T @ dgates)
+        wh._accum(h_prev.T @ dgates)
+        b._accum(dgates.sum(axis=0, keepdims=True))
+
+    _register(out, bw)
+    return out
+
+
+def backward(root, grad=None):
+    """Populate .grad for every tensor reachable from `root`: a scalar loss,
+    or any tensor whose upstream gradient is given as `grad`."""
+    if grad is None:
+        if root.data.size != 1:
+            raise ValueError("backward requires a scalar loss")
+        grad = np.ones_like(root.data)
     topo = []
     seen = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -441,7 +549,7 @@ def backward(loss):
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = grad
     for node in reversed(topo):
         if node._bw is not None:
             node._bw()

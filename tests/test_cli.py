@@ -3,6 +3,7 @@ manifests, determinism, and exit codes."""
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -449,6 +450,60 @@ def test_evaluate_max_pos_below_article_exit_2(tmp_path):
                 "--vocab", str(prep / "vocab.json"),
                 "--features", str(raw),
                 "--checkpoint", ckpt, "--out", str(out)]) == 2
+    assert not (out / "report.json").exists()
+
+
+def _feature_case(tmp_path, prep_dir, synth_dir, command, feat_dim=32):
+    """Run `command` on the processed set against the features in
+    synth_dir, with a model of width feat_dim (a config for train, a
+    checkpoint for evaluate and caption)."""
+    from newscap import runtime
+    from newscap.corpus import Vocabulary
+    from newscap.model import CaptionModel, ModelConfig
+    out = tmp_path / "o"
+    io = ["--processed", str(prep_dir / "processed.jsonl"),
+          "--vocab", str(prep_dir / "vocab.json"),
+          "--features", str(synth_dir), "--out", str(out)]
+    model = {"hidden": 8, "heads": 2, "enc_layers": 1, "dec_layers": 1,
+             "k_patches": 9, "feat_dim": feat_dim, "max_pos": 128}
+    if command == "train":
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"max_epochs": 1, "model": model}))
+        extra = ["--val", str(prep_dir / "processed.jsonl"),
+                 "--config", str(cfg)]
+    else:
+        vocab = Vocabulary.load(str(prep_dir / "vocab.json"))
+        ckpt = str(tmp_path / "m.bin")
+        runtime.save_checkpoint(runtime.checkpoint_from_model(CaptionModel(
+            ModelConfig(vocab_size=len(vocab), **model), vocab)), ckpt)
+        extra = ["--checkpoint", ckpt]
+    return run([command] + io + extra), out
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "caption"])
+def test_feat_dim_not_matching_features_exit_2(tmp_path, prep_dir, synth_dir,
+                                               capsys, command):
+    rc, out = _feature_case(tmp_path, prep_dir, synth_dir, command,
+                            feat_dim=16)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "32-wide features" in err and "feat_dim is 16" in err
+    assert not (out / "train_log.jsonl").exists()
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "caption"])
+def test_missing_feature_sidecar_exit_2(tmp_path, prep_dir, synth_dir, capsys,
+                                        command):
+    features = tmp_path / "features"
+    shutil.copytree(synth_dir, features)
+    lines = (prep_dir / "processed.jsonl").read_text().splitlines()
+    ref = json.loads(lines[0])["feature_ref"]
+    os.remove(features / (ref + ".json"))
+    rc, out = _feature_case(tmp_path, prep_dir, features, command)
+    assert rc == 2
+    assert "cannot read the sidecar" in capsys.readouterr().err
+    assert not (out / "train_log.jsonl").exists()
     assert not (out / "report.json").exists()
 
 

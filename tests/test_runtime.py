@@ -292,8 +292,12 @@ def test_beam_search_rejects_non_finite_distribution(beam):
 
 def test_top_ids_matches_stable_argsort():
     rng = np.random.default_rng(0)
+    mostly_zero = np.zeros(300)
+    mostly_zero[[7, 250, 31]] = [0.5, 0.25, 0.25]
     for dist in (rng.random(50), np.repeat(rng.random(10), 5),
-                 np.ones(7), np.array([0.2, 0.5, 0.5, 0.1, 0.5])):
+                 np.ones(7), np.array([0.2, 0.5, 0.5, 0.1, 0.5]),
+                 np.zeros(9), mostly_zero,
+                 np.array([0.0, 0.3, 0.0, 0.3, 0.4, 0.0], np.float32)):
         for k in (1, 2, 5, 60):
             assert list(R._top_ids(dist, k)) == \
                 list(np.argsort(-dist, kind="stable")[:k])
@@ -445,6 +449,45 @@ def test_train_target_loss_stop(tmp_path):
                    samples, VOCAB, store, log_cb=records.append)
     assert len(records) == 1  # any finite loss beats the silly target
     assert best.epoch == 1
+
+
+def test_per_sample_backward_equals_summed_loss(tmp_path, monkeypatch):
+    """train() runs one backward per sample against the batch's position
+    table as a leaf, then one through the LSTM; its gradients equal, bit
+    for bit, one backward of the batch's summed loss over one tape."""
+    samples, store = _training_setup(tmp_path, n=3)
+    cfg = _train_cfg(batch_size=3, max_epochs=1, model=tiny_cfg(dropout=0.1))
+    grads = {}
+
+    class Captured(Exception):
+        pass
+
+    def capture(params, g, state):
+        grads.update(g)
+        raise Captured
+
+    monkeypatch.setattr(T, "adam_step", capture)
+    with pytest.raises(Captured):
+        R.train(cfg, samples, samples, VOCAB, store)
+
+    model = CaptionModel(cfg.model, VOCAB, seed=cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
+    batch = [samples[i] for i in rng.permutation(len(samples))]
+    assert all(s.entities for s in batch)
+    positions = model.position_table(max(
+        max(len(s.article_ids), len(s.caption_ids) - 1) for s in batch))
+    total = None
+    for s in batch:
+        drop = model.dropout_ctx(rng)
+        ctx = model.encode(s, store.get(s.feature_ref), drop=drop,
+                           positions=positions)
+        loss, _, _ = model.loss(s, ctx, drop=drop)
+        total = loss if total is None else total + loss
+    T.backward(total * (1.0 / len(batch)))
+    expect = T.collect_grads(model.params)
+    assert set(grads) == set(expect)
+    for name, g in expect.items():
+        assert np.array_equal(grads[name], g), name
 
 
 def test_train_empty_sets_rejected(tmp_path):

@@ -261,6 +261,59 @@ def test_backward_shared_subexpression():
     assert np.allclose(x1.grad, 2.0 * x2.grad, atol=1e-15)
 
 
+def test_shared_first_gradient_stays_correct():
+    # x + x hands one array to x twice
+    x = t64([[0.3, -0.7]])
+    T.backward(T.sum_all(T.tanh(x + x)) + T.sum_all(x * 3.0))
+    assert np.allclose(x.grad, 2.0 * (1.0 - np.tanh(2.0 * x.data) ** 2) + 3.0,
+                       atol=1e-15)
+    # a + b hands s's gradient to both; a then takes another gradient, in
+    # either order
+    for first in (True, False):
+        a, b = t64([[0.5, -1.0]]), t64([[0.25, 2.0]])
+        s = a + b
+        parts = [T.sum_all(T.tanh(s)), T.sum_all(a * a)]
+        T.backward(parts[0] + parts[1] if first else parts[1] + parts[0])
+        ds = 1.0 - np.tanh(a.data + b.data) ** 2
+        assert np.allclose(b.grad, ds, atol=1e-15)
+        assert np.allclose(a.grad, ds + 2.0 * a.data, atol=1e-15)
+    # a take by row ids adds in place, never into an array another tensor
+    # holds: w and u share the gradient of w + u
+    for first in (True, False):
+        w, u = t64(np.arange(6.0).reshape(3, 2) / 6.0), t64(np.ones((3, 2)))
+        parts = [T.sum_all(T.tanh(w + u)),
+                 T.sum_all(T.take(w, [2, 2, 0]) * 3.0)]
+        T.backward(parts[0] + parts[1] if first else parts[1] + parts[0])
+        ds = 1.0 - np.tanh(w.data + u.data) ** 2
+        assert np.allclose(u.grad, ds, atol=1e-15)
+        assert np.allclose(w.grad, ds + [[3.0, 3.0], [0.0, 0.0], [6.0, 6.0]],
+                           atol=1e-15)
+
+
+def test_first_gradient_stored_contiguous():
+    x = t64(np.arange(6.0).reshape(2, 3))
+    w = t64(np.arange(6.0).reshape(3, 2) + 1.0)
+    T.backward(T.sum_all(T.transpose(x) * w))   # x's gradient is w.T, a view
+    assert x.grad.flags.c_contiguous
+    assert np.array_equal(x.grad, w.data.T)
+
+
+def test_constant_takes_no_gradient():
+    c = T.Constant(np.ones((2, 3)))
+    w = t64(np.arange(6.0).reshape(3, 2))
+    T.backward(T.sum_all(T.matmul(c, w) * 2.0 + T.Constant(np.ones((2, 2)))))
+    assert c.grad is None
+    assert np.array_equal(w.grad, np.full((3, 2), 4.0))
+
+
+def test_backward_from_a_given_gradient():
+    x = t64([[0.3, -0.7]])
+    y = T.tanh(x)
+    T.backward(y, np.array([[2.0, -1.0]]))
+    assert np.allclose(x.grad, [[2.0, -1.0]] * (1.0 - np.tanh(x.data) ** 2),
+                       atol=1e-15)
+
+
 def test_backward_requires_scalar():
     with pytest.raises(ValueError):
         T.backward(t64([[1.0, 2.0]]))
@@ -303,6 +356,16 @@ def test_unreachable_param_gets_zero_grad():
         T.transpose(T.reshape(p["u"], (2, 2, 2)), (0, 2, 1))))),
     lambda p: T.sum_all(T.transpose(T.reshape(p["w"], (2, 2, 2)), (1, 2, 0))
                         * T.reshape(p["u"] * p["g"], (2, 2, 2))),
+    # take by row ids into a tensor that also has a dense gradient
+    lambda p: T.sum_all(T.take(p["w"], [1, 1, 0]) * p["g"])
+    + T.sum_all(p["w"] * p["u"]),
+    # lstm: 4 steps at hidden 2; u, g and b fill both weights and the bias
+    lambda p: T.sum_all(T.lstm(
+        T.reshape(p["w"], (4, 2)),
+        T.reshape(T.concat([p["u"], p["g"], p["b"]], axis=0), (2, 8)),
+        T.reshape(T.concat([p["b"], p["u"], p["g"]], axis=0) * 0.5, (2, 8)),
+        T.reshape(T.concat([p["g"], p["b"]], axis=0), (1, 8)))
+        * T.reshape(p["u"], (4, 2))),
 ])
 def test_per_op_finite_differences(build):
     with T.precision("float64"):
@@ -315,6 +378,37 @@ def test_per_op_finite_differences(build):
         }
         report = T.finite_diff_check(build, params, coords_per_param=8)
         assert report.passed, (report.worst_param, report.max_rel_err)
+
+
+def _lstm_oracle(x, wx, wh, b):
+    """A straight-line LSTM, one row at a time: gates i, f, g, o are the
+    column blocks of x_t wx + h wh + b."""
+    hd = wh.shape[0]
+    h = np.zeros((1, hd), x.dtype)
+    c = np.zeros((1, hd), x.dtype)
+    rows = []
+    for t in range(x.shape[0]):
+        z = x[t:t + 1] @ wx + h @ wh + b
+        i = 1.0 / (1.0 + np.exp(-z[:, :hd]))
+        f = 1.0 / (1.0 + np.exp(-z[:, hd:2 * hd]))
+        g = np.tanh(z[:, 2 * hd:3 * hd])
+        o = 1.0 / (1.0 + np.exp(-z[:, 3 * hd:]))
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        rows.append(h)
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,hd", [(1, 3), (7, 4), (40, 16)])
+def test_lstm_matches_straight_line_oracle(dtype, n, hd):
+    rng = np.random.default_rng(n)
+    x, wx, wh = (rng.normal(0.0, 0.5, size=s).astype(dtype)
+                 for s in ((n, hd), (hd, 4 * hd), (hd, 4 * hd)))
+    b = rng.normal(0.0, 0.1, size=(1, 4 * hd)).astype(dtype)
+    out = T.lstm(*(T.Tensor(a) for a in (x, wx, wh, b)))
+    assert out.data.dtype == dtype
+    assert np.array_equal(out.data, _lstm_oracle(x, wx, wh, b))
 
 
 def test_finite_diff_check_quadratic_tight():
