@@ -105,11 +105,18 @@ def init_params(cfg, seed=0):
 
 @dataclass
 class EncodedContexts:
+    """The encoded image, article and entities of a batch of B samples (one
+    for decoding), padded to the longest of each."""
     memory: list               # per decoder layer: the projected (keys,
                                # values) of the image, the article and the
-                               # entities (None when the sample has none)
-    article_map: np.ndarray    # per article position -> vocabulary id to copy
-    entity_map: np.ndarray     # per mention -> vocabulary id to copy
+                               # entities (None when no sample has any)
+    masks: tuple               # key masks [B x 1 x Lk] of the image, the
+                               # article and the entities; None: all real
+    has_entities: np.ndarray | None  # [B x 1 x 1], 0 for a sample without
+                               # mentions, whose entity context and switch
+                               # are zeroed; None when every sample has some
+    article_map: np.ndarray    # [B x L]: article position -> id to copy
+    entity_map: np.ndarray     # [B x M]: mention -> vocabulary id to copy
     positions: T.Tensor        # position table for article, mentions, prefixes
     prefix_kv: dict = field(default_factory=dict)  # stepped prefix -> its
                                # per-layer self-attention (keys, values)
@@ -145,6 +152,11 @@ def build_copy_maps(sample, vocab):
         np.asarray(entity_map, dtype=np.int64)
 
 
+def _key_mask(valid):
+    """Real keys [B x L] as a mask that broadcasts over query rows."""
+    return None if valid is None else valid[:, None, :]
+
+
 class CaptionModel:
     """Parameters plus the forward passes the runtime needs."""
 
@@ -166,32 +178,64 @@ class CaptionModel:
         return E.position_lstm(self.params, self.cfg,
                                length or self.cfg.max_pos)
 
-    def encode(self, sample, feat_grid, drop=None, positions=None):
+    def encode(self, samples, grids, drop=None, positions=None):
+        """Encode one sample and its feature grid [K x D], or a list of
+        samples and their grids as one padded batch."""
+        if not isinstance(samples, (list, tuple)):
+            samples, grids = [samples], [grids]
         if positions is None:
             positions = self.position_table()
-        vproj = E.project_image(self.params, feat_grid)
-        article = E.encode_text(self.params, self.cfg, sample.article_ids,
-                                vproj, positions, drop=drop)
-        groups = [sample.article_ids[m.start:m.end] for m in sample.entities]
-        entities = E.encode_entities(self.params, self.cfg, groups, vproj,
-                                     positions, drop=drop)
+        params, cfg = self.params, self.cfg
+        patches = [len(g) for g in grids]
+        stacked = np.zeros((len(grids), max(patches), np.shape(grids[0])[-1]),
+                           dtype=np.asarray(grids[0]).dtype)
+        for b, g in enumerate(grids):
+            stacked[b, :len(g)] = g
+        img_mask = None if min(patches) == max(patches) else _key_mask(
+            np.arange(max(patches)) < np.asarray(patches)[:, None])
+        vproj = E.project_image(params, stacked)
+        ids, words = E.pad([s.article_ids for s in samples])
+        article = E.encode_text(params, cfg, ids, vproj, positions, drop=drop,
+                                valid=words, img_mask=img_mask)
+        ents = E.encode_entities(
+            params, cfg,
+            [[s.article_ids[m.start:m.end] for m in s.entities]
+             for s in samples],
+            vproj, positions, drop=drop, img_mask=img_mask)
+        has_entities = ent_mask = None
+        if ents is not None:
+            ents, real = ents
+            if real is not None:
+                # a sample without mentions attends its first (empty) slot;
+                # has_entities zeroes what that yields
+                some = real.any(axis=1)
+                real[~some, 0] = True
+                if not some.all():
+                    has_entities = some.astype(ents.data.dtype)[:, None, None]
+            ent_mask = _key_mask(real)
         memory = [tuple(
             None if c is None else E.project_kv(
-                self.params, f"dec/l{l}/{name}", c, self.cfg.heads)
+                params, f"dec/l{l}/{name}", c, cfg.heads)
             for name, c in (("img", vproj), ("art", article),
-                            ("ent", entities)))
-            for l in range(self.cfg.dec_layers)]
-        article_map, entity_map = build_copy_maps(sample, self.vocab)
+                            ("ent", ents)))
+            for l in range(cfg.dec_layers)]
+        maps = [build_copy_maps(s, self.vocab) for s in samples]
         return EncodedContexts(
             memory=memory,
-            article_map=article_map,
-            entity_map=entity_map,
+            masks=(img_mask, _key_mask(words), ent_mask),
+            has_entities=has_entities,
+            article_map=E.pad([a for a, _ in maps])[0],
+            entity_map=E.pad([e for _, e in maps])[0],
             positions=positions,
         )
 
-    def loss(self, sample, contexts, drop=None, collect_steps=False):
+    def loss(self, samples, contexts, drop=None, collect_steps=False):
+        """Teacher-forced NLL: a scalar-sized sum for one sample, the [B]
+        per-sample sums for a list; also the mean per target token."""
+        captions = samples.caption_ids if not isinstance(
+            samples, (list, tuple)) else [s.caption_ids for s in samples]
         return D.forward_teacher_forced(
-            self.params, self.cfg, sample.caption_ids, contexts, drop=drop,
+            self.params, self.cfg, captions, contexts, drop=drop,
             collect_steps=collect_steps)
 
     def next_token_dist(self, prefixes, contexts):

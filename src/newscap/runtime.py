@@ -6,6 +6,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field, asdict
@@ -20,6 +21,13 @@ from .model import CaptionModel, ModelConfig
 CKPT_MAGIC = b"NCKP"
 CKPT_VERSION = 1
 MAX_DECODE_LEN = 31
+# Padded activations per training micro-batch: its sample count times the
+# larger of heads x L^2 (encoder attention scores, L its longest article)
+# and T x V (output distributions, T its longest caption input). About four
+# samples of 84-token articles at 4 heads fit; a 300-token article or a
+# 16k-word vocabulary fills it alone. At those shapes the forward tape is
+# about 3.5 MB and 27 MB per sample.
+MICRO_BATCH_ELEMENTS = 2 ** 17
 
 
 @dataclass
@@ -77,9 +85,22 @@ def model_from_checkpoint(ckpt, vocab):
     return CaptionModel(ckpt.config, vocab, params=params)
 
 
+def _blob_arrays(names, buckets, like):
+    """The arrays of the blob, in file order: each bucket's array per name,
+    zeros where a bucket lacks one."""
+    return [np.ascontiguousarray(bucket[n]) if n in bucket
+            else np.zeros_like(like[n]) for bucket in buckets for n in names]
+
+
+def _bytes(arr):
+    """The raw bytes of a C-contiguous array, as a view."""
+    return arr.reshape(-1).view(np.uint8)
+
+
 def save_checkpoint(ckpt, path):
     """Versioned container: magic, header JSON, concatenated raw blobs.
-    Written atomically (temp file + rename)."""
+    Each array is hashed and then written as it is, with no copy of the
+    blob. Written atomically (temp file + rename)."""
     names = sorted(ckpt.params)
     dtype = str(ckpt.params[names[0]].dtype) if names else "float32"
     buckets = [ckpt.params]
@@ -91,9 +112,9 @@ def save_checkpoint(ckpt, path):
             "warmup": ckpt.adam.warmup, "step": ckpt.adam.step,
         }
         buckets += [ckpt.adam.m, ckpt.adam.v]
-    blob = b"".join(
-        (bucket[n] if n in bucket else np.zeros_like(ckpt.params[n])).tobytes()
-        for bucket in buckets for n in names)
+    digest = hashlib.sha256()
+    for arr in _blob_arrays(names, buckets, ckpt.params):
+        digest.update(_bytes(arr))
     header = {
         "version": CKPT_VERSION,
         "dtype": dtype,
@@ -108,7 +129,7 @@ def save_checkpoint(ckpt, path):
         "best_val_cider": ckpt.best_val_cider,
         "params": [{"name": n, "shape": list(ckpt.params[n].shape)}
                    for n in names],
-        "checksum": hashlib.sha256(blob).hexdigest(),
+        "checksum": digest.hexdigest(),
     }
     hdr = json.dumps(header, sort_keys=True).encode()
     tmp = path + ".tmp"
@@ -117,11 +138,14 @@ def save_checkpoint(ckpt, path):
         fh.write(struct.pack("<I", CKPT_VERSION))
         fh.write(struct.pack("<I", len(hdr)))
         fh.write(hdr)
-        fh.write(blob)
+        for arr in _blob_arrays(names, buckets, ckpt.params):
+            fh.write(_bytes(arr))
     os.replace(tmp, path)
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; each array is read into its own buffer and hashed
+    as it comes, and the checksum is verified before anything returns."""
     with open(path, "rb") as fh:
         preamble = fh.read(12)
         if len(preamble) < 12 or preamble[:4] != CKPT_MAGIC:
@@ -130,27 +154,32 @@ def load_checkpoint(path):
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         header = json.loads(fh.read(hdr_len).decode())
-        blob = fh.read()
-    if hashlib.sha256(blob).hexdigest() != header["checksum"]:
+        dtype = np.dtype(header["dtype"])
+        params = {}
+        buckets = [params]
+        adam = None
+        if header["adam"] is not None:
+            a = header["adam"]
+            adam = T.AdamState(base_lr=a["base_lr"], beta1=a["beta1"],
+                               beta2=a["beta2"], eps=a["eps"],
+                               warmup=a["warmup"], step=a["step"])
+            buckets += [adam.m, adam.v]
+        sizes = [math.prod(e["shape"]) * dtype.itemsize
+                 for e in header["params"]]
+        blob = os.fstat(fh.fileno()).st_size - fh.tell()
+        if blob != sum(sizes) * len(buckets):
+            raise ValueError(f"checkpoint checksum failure: the blob holds "
+                             f"{blob} bytes, its header describes "
+                             f"{sum(sizes) * len(buckets)}")
+        digest = hashlib.sha256()
+        for bucket in buckets:
+            for entry in header["params"]:
+                arr = np.empty(tuple(entry["shape"]), dtype=dtype)
+                fh.readinto(_bytes(arr))
+                digest.update(_bytes(arr))
+                bucket[entry["name"]] = arr
+    if digest.hexdigest() != header["checksum"]:
         raise ValueError("checkpoint checksum failure")
-    dtype = np.dtype(header["dtype"])
-    params = {}
-    buckets = [params]
-    adam = None
-    if header["adam"] is not None:
-        a = header["adam"]
-        adam = T.AdamState(base_lr=a["base_lr"], beta1=a["beta1"],
-                           beta2=a["beta2"], eps=a["eps"], warmup=a["warmup"],
-                           step=a["step"])
-        buckets += [adam.m, adam.v]
-    offset = 0
-    for bucket in buckets:
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            size = int(np.prod(shape)) * dtype.itemsize
-            bucket[entry["name"]] = np.frombuffer(
-                blob[offset:offset + size], dtype=dtype).reshape(shape).copy()
-            offset += size
     return Checkpoint(
         config=ModelConfig.from_dict(header["config"]),
         params=params,
@@ -324,11 +353,27 @@ def _val_cider(model, samples, feature_store, max_len):
     return evaluate(model, samples, feature_store, max_len=max_len)["cider"]
 
 
+def micro_batches(samples, cfg):
+    """Consecutive runs of samples, each as long as MICRO_BATCH_ELEMENTS
+    allows at its padded shapes, and at least one sample."""
+    runs, run, widest = [], [], 0
+    for s in samples:
+        size = max(cfg.heads * len(s.article_ids) ** 2,
+                   (len(s.caption_ids) - 1) * cfg.vocab_size)
+        if run and (len(run) + 1) * max(widest, size) > MICRO_BATCH_ELEMENTS:
+            runs.append(run)
+            run, widest = [], 0
+        run.append(s)
+        widest = max(widest, size)
+    return runs + [run] if run else runs
+
+
 def train(cfg, train_samples, val_samples, vocab, feature_store,
           log_fh=None, log_cb=None):
     """Mini-batch teacher-forced training with Adam and warmup; keeps the
     checkpoint with the best validation CIDEr (greedy decode) and stops after
-    `patience` non-improving evaluations."""
+    `patience` non-improving evaluations. Each batch runs as micro-batches
+    (micro_batches), each one padded forward and one backward."""
     if not train_samples or not val_samples:
         raise ValueError("train and validation sets must be nonempty")
     model = CaptionModel(cfg.model, vocab, seed=cfg.seed)
@@ -354,26 +399,33 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
             T.zero_grads(model.params)
             inv = 1.0 / len(batch)
             # the parameters stay fixed within a batch: one position table
-            # for its longest sequence. Each sample's tape reads it as a
-            # leaf and runs its own backward, so one tape is alive at a
+            # for its longest sequence. Each micro-batch's tape reads it as
+            # a leaf and runs its own backward, so one tape is alive at a
             # time; the table's summed gradient then goes back through the
             # LSTM once.
             table = model.position_table(max(
                 max(len(s.article_ids), len(s.caption_ids) - 1) for s in batch))
             positions = T.Tensor(table.data)
-            for s in batch:
+            for micro in micro_batches(batch, model.cfg):
                 drop = model.dropout_ctx(rng)
-                ctx = model.encode(s, feature_store.get(s.feature_ref),
-                                   drop=drop, positions=positions)
-                loss, _, _ = model.loss(s, ctx, drop=drop)
-                if not np.isfinite(loss.data).all():
+                ctx = model.encode(
+                    micro, [feature_store.get(s.feature_ref) for s in micro],
+                    drop=drop, positions=positions)
+                loss, _, _ = model.loss(micro, ctx, drop=drop)
+                finite = np.isfinite(loss.data)
+                if not finite.all():
                     raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, sample {s.id}")
-                epoch_loss += loss.item()
-                epoch_tokens += len(s.caption_ids) - 1
-                T.backward(loss * inv)
+                        f"non-finite loss at epoch {epoch}, sample "
+                        f"{micro[int(np.argmin(finite))].id}")
+                epoch_loss += sum(map(float, loss.data))
+                epoch_tokens += sum(len(s.caption_ids) - 1 for s in micro)
+                T.backward(loss, np.full_like(loss.data, inv))
             T.backward(table, positions.grad)
-            T.adam_step(model.params, T.collect_grads(model.params), adam)
+            # the gradients themselves: zero_grads drops them before the
+            # next batch, and adam_step does not write to them
+            T.adam_step(model.params, {
+                name: p.grad if p.grad is not None else np.zeros_like(p.data)
+                for name, p in model.params.items()}, adam)
             step += 1
         per_token = epoch_loss / max(epoch_tokens, 1)
 

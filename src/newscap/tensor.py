@@ -297,13 +297,13 @@ def sum_all(a):
 
 def softmax(x, axis=-1):
     """Numerically stable softmax; rows sum to 1 along `axis`."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - np.maximum.reduce(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / np.add.reduce(e, axis=axis, keepdims=True)
     out = Tensor(s, (x,))
 
     def bw():
-        dot = (out.grad * s).sum(axis=axis, keepdims=True)
+        dot = np.add.reduce(out.grad * s, axis=axis, keepdims=True)
         x._accum(s * (out.grad - dot))
 
     _register(out, bw)
@@ -347,24 +347,32 @@ def relu(x):
     return out
 
 
+def _mean_last(a):
+    """a.mean(axis=-1, keepdims=True), rounded the same way."""
+    return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize the last axis to zero mean / unit variance, then affine."""
     h = x.data.shape[-1]
     if h == 0:
         raise ValueError("layer_norm over empty feature axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # the mean and variance as np.mean and np.var round them, without
+    # their Python-level wrappers
+    mu = _mean_last(x.data)
+    centered = x.data - mu
+    var = _mean_last(centered * centered)
     if _DIAG is not None and var.size:
         _DIAG["ln_min_var"] = min(_DIAG["ln_min_var"], float(var.min()))
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = centered * inv
     out = Tensor(gain.data * xhat + bias.data, (x, gain, bias))
 
     def bw():
         g = out.grad
         dxhat = g * gain.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = _mean_last(dxhat)
+        m2 = _mean_last(dxhat * xhat)
         x._accum((dxhat - m1 - xhat * m2) * inv)
         gain._accum(_unbroadcast(g * xhat, gain.data.shape))
         bias._accum(_unbroadcast(g, bias.data.shape))
@@ -389,17 +397,19 @@ def _checked(index, shape):
 
 def take(a, index):
     """Gather a.data[index]; index is any numpy index of slices and integer
-    ids, or a tuple of them, one per leading axis."""
+    ids, or a tuple of them, one per leading axis. An array of row ids of
+    any shape gathers rows."""
     index = _checked(index, a.data.shape)
     out = Tensor(a.data[index], (a,))
 
     def bw():
-        if isinstance(index, np.ndarray) and index.ndim == 1:
+        if isinstance(index, np.ndarray):
             # row ids: sum the picked rows per id, in index order, and add
             # only those rows
             ids, at = np.unique(index, return_inverse=True)
-            rows = np.zeros((len(ids),) + out.grad.shape[1:], out.grad.dtype)
-            np.add.at(rows, at, out.grad)
+            rows = np.zeros((len(ids),) + a.data.shape[1:], out.grad.dtype)
+            np.add.at(rows, at.reshape(-1),
+                      out.grad.reshape((-1,) + a.data.shape[1:]))
             a._accum_rows(ids, rows)
             return
         g = np.zeros_like(a.data)
@@ -426,14 +436,15 @@ def scatter_add(a, index, shape):
     return out
 
 
-def avg_pool_rows(x):
-    if x.data.shape[0] == 0:
+def avg_pool_rows(x, axis=0):
+    """The mean over one axis, kept with extent 1 (rounded as np.mean)."""
+    n = x.data.shape[axis]
+    if n == 0:
         raise ValueError("avg_pool_rows on empty input")
-    n = x.data.shape[0]
-    out = Tensor(x.data.mean(axis=0, keepdims=True), (x,))
+    out = Tensor(np.add.reduce(x.data, axis=axis, keepdims=True) / n, (x,))
 
     def bw():
-        x._accum(np.repeat(out.grad, n, axis=0) / n)
+        x._accum(np.repeat(out.grad, n, axis=axis) / n)
 
     _register(out, bw)
     return out
@@ -528,8 +539,10 @@ def lstm(x, wx, wh, b):
 
 
 def backward(root, grad=None):
-    """Populate .grad for every tensor reachable from `root`: a scalar loss,
-    or any tensor whose upstream gradient is given as `grad`."""
+    """Populate .grad for every leaf reachable from `root`: a scalar loss,
+    or any tensor whose upstream gradient is given as `grad`. The tape is
+    spent as it runs: interior tensors lose their gradients and their links
+    to their operands."""
     if grad is None:
         if root.data.size != 1:
             raise ValueError("backward requires a scalar loss")
@@ -550,9 +563,15 @@ def backward(root, grad=None):
             if id(p) not in seen:
                 stack.append((p, False))
     root.grad = grad
-    for node in reversed(topo):
+    while topo:
+        # popping a node drops the list's reference, so its forward arrays
+        # go as soon as the nodes that read them are spent
+        node = topo.pop()
         if node._bw is not None:
             node._bw()
+            # an interior node has passed its gradient on; leaves (the
+            # parameters, a position table read as a leaf) keep theirs
+            node.grad = None
         # a closure refers to its own output; unlinking the spent tape lets
         # reference counting free it instead of the cycle collector, whose
         # schedule would set the training peak memory
@@ -613,13 +632,25 @@ def adam_step(params, grads, state):
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
+        # in place, in the rounding order of
+        #   m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        #   p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
+        # with one scratch buffer holding the step's two temporaries
+        s, d = np.empty((2,) + p.data.shape, p.data.dtype)
+        np.multiply(g, 1.0 - b1, out=s)
         m *= b1
-        m += (1.0 - b1) * g
+        m += s
+        np.multiply(g, 1.0 - b2, out=s)
+        s *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        mhat = m / bc1
-        vhat = v / bc2
-        p.data -= (lr * mhat / (np.sqrt(vhat) + state.eps)).astype(p.data.dtype)
+        v += s
+        np.divide(v, bc2, out=d)
+        np.sqrt(d, out=d)
+        d += state.eps
+        np.divide(m, bc1, out=s)
+        s *= lr
+        s /= d
+        p.data -= s
 
 
 # ---------------------------------------------------------------------------

@@ -420,6 +420,41 @@ def test_train_diverged_exit_3(tmp_path, prep_dir, synth_dir, capsys):
     assert not (out / "checkpoint.bin").exists()
 
 
+def test_train_poisoned_sample_in_a_micro_batch_exit_3(
+        tmp_path, prep_dir, synth_dir, capsys, monkeypatch):
+    """A non-finite grid makes only its own sample's loss non-finite; the
+    error names that sample, though it shares a micro-batch with others."""
+    import numpy as np
+    from newscap import runtime
+    from newscap.corpus import Vocabulary, load_processed
+    from newscap.features import FeatureStore
+    from newscap.model import ModelConfig
+    samples = load_processed(str(prep_dir / "processed.jsonl"))
+    vocab = Vocabulary.load(str(prep_dir / "vocab.json"))
+    # the second sample of the first batch (batch_size 4), by train()'s
+    # first rng draw; it runs behind another in its micro-batch
+    order = np.random.default_rng(0).permutation(len(samples))
+    batch = [samples[i] for i in order[:4]]
+    target = batch[1]
+    runs = runtime.micro_batches(batch, ModelConfig(
+        vocab_size=len(vocab), hidden=8, heads=2))
+    assert any(run.index(target) > 0 for run in runs if target in run)
+    get = FeatureStore.get
+
+    def poisoned(self, ref):
+        grid = get(self, ref)
+        return np.full_like(grid, np.nan) if ref == target.feature_ref \
+            else grid
+
+    monkeypatch.setattr(FeatureStore, "get", poisoned)
+    rc, out = _train_with(tmp_path, prep_dir, synth_dir)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err
+    assert f"sample {target.id}" in err
+    assert not (out / "checkpoint.bin").exists()
+
+
 def test_train_max_pos_below_article_exit_2(tmp_path):
     raw, prep = tmp_path / "raw", tmp_path / "prep"
     assert run(["synth", "--out", str(raw), "--n", "8", "--seed", "0"]) == 0

@@ -344,7 +344,7 @@ def test_copy_consistency_entity_route():
     model.params["ptr/bq"].data[:] = 1e6
     sample, ctx = encode(model)
     tag_id = VOCAB.tag_id("PERSON")
-    assert list(ctx.entity_map) == [tag_id]  # "Zorb" is OOV -> tag id
+    assert list(ctx.entity_map[0]) == [tag_id]  # "Zorb" is OOV -> tag id
     _, _, out = model.loss(sample, ctx, collect_steps=True)
     t = sample.caption_ids[1:].index(tag_id)
     step = out.steps[t]
@@ -414,7 +414,7 @@ def record_rows(monkeypatch):
     embed = D.embed_positions
 
     def recording(params, ids, positions, pos=None):
-        runs.append(len(ids))
+        runs.append(np.size(ids))
         return embed(params, ids, positions, pos)
 
     monkeypatch.setattr(D, "embed_positions", recording)

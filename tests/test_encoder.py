@@ -378,26 +378,29 @@ def test_encode_text_empty_input(params):
 
 def test_encode_entities_empty_returns_none(params):
     cfg = tiny_cfg()
-    vproj = T.Tensor(np.zeros((3, 8)))
-    assert E.encode_entities(params, cfg, [], vproj, table(params)) is None
+    vproj = T.Tensor(np.zeros((1, 3, 8)))
     assert E.encode_entities(params, cfg, [[]], vproj, table(params)) is None
+    assert E.encode_entities(params, cfg, [[[]]], vproj, table(params)) is None
 
 
 def test_encode_entities_single_token_mention(params):
     cfg = tiny_cfg()
     vproj = T.Tensor(np.random.default_rng(15).normal(size=(3, 8)))
     enc = E.encode_text(params, cfg, [2], vproj, table(params))
-    ents = E.encode_entities(params, cfg, [[2]], vproj, table(params))
-    assert np.allclose(ents.data, enc.data, atol=1e-12)
+    ents, real = E.encode_entities(params, cfg, [[[2]]],
+                                   T.reshape(vproj, (1, 3, 8)), table(params))
+    assert real is None
+    assert np.allclose(ents.data[0], enc.data, atol=1e-12)
 
 
 def test_encode_entities_mean_pool(params):
     cfg = tiny_cfg()
     vproj = T.Tensor(np.random.default_rng(16).normal(size=(3, 8)))
     enc = E.encode_text(params, cfg, [1, 3], vproj, table(params))
-    ents = E.encode_entities(params, cfg, [[1, 3]], vproj, table(params))
-    assert ents.shape == (1, 8)
-    assert np.allclose(ents.data[0], enc.data.mean(axis=0), atol=1e-12)
+    ents, _ = E.encode_entities(params, cfg, [[[1, 3]]],
+                                T.reshape(vproj, (1, 3, 8)), table(params))
+    assert ents.shape == (1, 1, 8)
+    assert np.allclose(ents.data[0, 0], enc.data.mean(axis=0), atol=1e-12)
 
 
 def _pooled_by_loop(enc, sizes):
@@ -427,8 +430,9 @@ def test_encode_entities_matches_per_mention_loop(dtype):
             T.backward(T.sum_all(pooled * weights))
             return pooled.data, T.collect_grads(params)
 
-        got, got_grads = run(lambda pos: E.encode_entities(
-            params, cfg, groups + [[]], vproj, pos))
+        got, got_grads = run(lambda pos: T.reshape(E.encode_entities(
+            params, cfg, [groups + [[]]], T.reshape(vproj, (1, 3, 8)),
+            pos)[0], (len(groups), 8)))
         want, want_grads = run(lambda pos: _pooled_by_loop(
             E.encode_text(params, cfg, flat, vproj, pos),
             [len(g) for g in groups]))

@@ -2,9 +2,11 @@
 (against exhaustive enumeration), tag cleaning, and the training loop."""
 
 import copy
+import hashlib
 import itertools
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -89,6 +91,61 @@ def test_checkpoint_with_adam_state_round_trip(tmp_path):
     for name in model.params:
         assert np.array_equal(loaded.adam.m[name], adam.m[name])
         assert np.array_equal(loaded.adam.v[name], adam.v[name])
+
+
+def _straight_line_checkpoint(ckpt):
+    """The documented format, written out in one piece: magic, version and
+    header length (little-endian u32), the header JSON (sorted keys), then
+    every parameter's raw bytes by sorted name, then Adam's m and v the same
+    way; the checksum is the SHA-256 of those bytes."""
+    names = sorted(ckpt.params)
+    buckets = [ckpt.params]
+    if ckpt.adam is not None:
+        buckets += [ckpt.adam.m, ckpt.adam.v]
+    blob = b"".join(b[n].tobytes() for b in buckets for n in names)
+    a = ckpt.adam
+    header = {
+        "version": 1, "dtype": str(ckpt.params[names[0]].dtype),
+        "config": ckpt.config.to_dict(), "vocab_hash": ckpt.vocab_hash,
+        "step": ckpt.step, "epoch": ckpt.epoch, "seed": ckpt.seed,
+        "rng_state": ckpt.rng_state,
+        "adam": None if a is None else {
+            "base_lr": a.base_lr, "beta1": a.beta1, "beta2": a.beta2,
+            "eps": a.eps, "warmup": a.warmup, "step": a.step},
+        "train_config": ckpt.train_config,
+        "best_val_cider": ckpt.best_val_cider,
+        "params": [{"name": n, "shape": list(ckpt.params[n].shape)}
+                   for n in names],
+        "checksum": hashlib.sha256(blob).hexdigest(),
+    }
+    hdr = json.dumps(header, sort_keys=True).encode()
+    return b"NCKP" + struct.pack("<II", 1, len(hdr)) + hdr + blob
+
+
+@pytest.mark.parametrize("with_adam", [False, True])
+def test_checkpoint_bytes_equal_straight_line_writer(tmp_path, with_adam):
+    model = make_model(seed=6)
+    adam = None
+    if with_adam:
+        adam = T.AdamState(base_lr=1e-3, warmup=5)
+        T.adam_step(model.params, {k: np.full_like(p.data, 0.5) for k, p
+                                   in model.params.items()}, adam)
+    ckpt = R.checkpoint_from_model(model, step=3, epoch=2, seed=6, adam=adam,
+                                   best_val_cider=0.25)
+    path = str(tmp_path / "m.bin")
+    R.save_checkpoint(ckpt, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == _straight_line_checkpoint(ckpt)
+
+
+def test_checkpoint_truncated_blob_detected(tmp_path):
+    path = str(tmp_path / "m.bin")
+    R.save_checkpoint(R.checkpoint_from_model(make_model(seed=3)), path)
+    blob = open(path, "rb").read()
+    for cut in (blob[:-5], blob + b"x"):
+        open(path, "wb").write(cut)
+        with pytest.raises(ValueError, match="checksum"):
+            R.load_checkpoint(path)
 
 
 def test_checkpoint_corruption_detected(tmp_path):
@@ -452,18 +509,21 @@ def test_train_target_loss_stop(tmp_path):
 
 
 def test_per_sample_backward_equals_summed_loss(tmp_path, monkeypatch):
-    """train() runs one backward per sample against the batch's position
-    table as a leaf, then one through the LSTM; its gradients equal, bit
-    for bit, one backward of the batch's summed loss over one tape."""
+    """At micro-batches of one sample, train() runs one backward per sample
+    against the batch's position table as a leaf, then one through the
+    LSTM; its gradients equal, bit for bit, one backward of the batch's
+    summed loss over one tape."""
+    monkeypatch.setattr(R, "MICRO_BATCH_ELEMENTS", 1)
     samples, store = _training_setup(tmp_path, n=3)
     cfg = _train_cfg(batch_size=3, max_epochs=1, model=tiny_cfg(dropout=0.1))
+    assert [len(m) for m in R.micro_batches(samples, cfg.model)] == [1, 1, 1]
     grads = {}
 
     class Captured(Exception):
         pass
 
     def capture(params, g, state):
-        grads.update(g)
+        grads.update({k: v.copy() for k, v in g.items()})
         raise Captured
 
     monkeypatch.setattr(T, "adam_step", capture)
@@ -488,6 +548,130 @@ def test_per_sample_backward_equals_summed_loss(tmp_path, monkeypatch):
     assert set(grads) == set(expect)
     for name, g in expect.items():
         assert np.array_equal(grads[name], g), name
+
+
+def varied_samples():
+    """Samples that differ in article length, caption length and mention
+    count; the last has no mentions."""
+    def sample(i, toks, entities, cap):
+        return ProcessedSample(
+            id=f"v{i}", source="t", article_tokens=toks,
+            article_ids=[VOCAB.id_of(t) for t in toks], entities=entities,
+            caption_tokens=cap, caption_entities=[],
+            caption_ids=[VOCAB.bos_id] + [VOCAB.id_of(t) for t in cap]
+            + [VOCAB.eos_id], feature_ref=f"v{i}")
+    return [
+        sample(0, ["alpha", "beta", "Zorb", "gamma", "beta"],
+               [EntityMention("Zorb", "PERSON", 2, 3, 1)],
+               ["alpha", "beta", "gamma"]),
+        sample(1, ["Qux", "Vel", "alpha", "delta", "Zorb", "beta", "gamma",
+                   "alpha", "delta"],
+               [EntityMention("Qux Vel", "ORG", 0, 2, 1),
+                EntityMention("Zorb", "PERSON", 4, 5, 1),
+                EntityMention("delta", "GPE", 8, 9, 1)],
+               ["gamma", "alpha", "delta", "beta", "alpha", "gamma"]),
+        sample(2, ["gamma", "delta", "beta"], [], ["delta"]),
+    ]
+
+
+def _varied_grids(dtype):
+    """Feature grids by sample id; the last has fewer patches."""
+    rng = np.random.default_rng(40)
+    return {f"v{i}": rng.normal(size=(k, 5)).astype(dtype)
+            for i, k in enumerate((3, 3, 2))}
+
+
+def _losses_and_grads(model, samples, grids, batched):
+    """Per-sample losses and the parameter gradients of their mean, from one
+    padded micro-batch or from one tape per sample; both read one position
+    table as a leaf, as train() does."""
+    T.zero_grads(model.params)
+    table = model.position_table(12)
+    positions = T.Tensor(table.data)
+    if batched:
+        ctx = model.encode(samples, [grids[s.id] for s in samples],
+                           positions=positions)
+        loss, _, _ = model.loss(samples, ctx)
+        losses = list(loss.data)
+        T.backward(loss, np.full_like(loss.data, 1.0 / len(samples)))
+    else:
+        losses = []
+        for s in samples:
+            loss, _, _ = model.loss(s, model.encode(s, grids[s.id],
+                                                    positions=positions))
+            losses.append(loss.item())
+            T.backward(loss * (1.0 / len(samples)))
+    T.backward(table, positions.grad)
+    return np.asarray(losses), T.collect_grads(model.params)
+
+
+@pytest.mark.parametrize("dtype, rtol", [("float64", 1e-9), ("float32", 1e-4)])
+def test_padded_micro_batch_equals_per_sample_runs(dtype, rtol):
+    samples = varied_samples()
+    with T.precision(dtype):
+        model = make_model(seed=31, dec_layers=2)
+        grids = _varied_grids(dtype)
+        got_loss, got = _losses_and_grads(model, samples, grids, True)
+        want_loss, want = _losses_and_grads(model, samples, grids, False)
+    np.testing.assert_allclose(got_loss, want_loss, rtol=rtol, atol=0)
+    for name, g in want.items():
+        assert got[name].dtype == np.dtype(dtype)
+        np.testing.assert_allclose(got[name], g, rtol=rtol,
+                                   atol=rtol * np.abs(g).max(), err_msg=name)
+
+
+def test_padded_micro_batch_finite_differences():
+    """Tape gradients through a padded batch of two (one sample without
+    mentions) against central differences in float64. The step is small
+    (1e-6) and the point clear of relu kinks and eps-dominated layer
+    norms."""
+    samples = varied_samples()[1:]
+    with T.precision("float64"):
+        grids = _varied_grids("float64")
+        for seed in range(1, 21):
+            model = make_model(seed=seed, hidden=16)
+            # embeddings at the gradient checker's scale keep the layer
+            # norms' input variance well above eps
+            emb_rng = np.random.default_rng(seed + 10_000)
+            for name in ("emb/word", "emb/pos"):
+                model.params[name].data = emb_rng.normal(
+                    0.0, 0.5, model.params[name].shape)
+
+            def fn(params):
+                ctx = model.encode(samples, [grids[s.id] for s in samples])
+                loss, _, _ = model.loss(samples, ctx)
+                return T.sum_all(loss)
+
+            with T.diagnostics() as diag:
+                fn(model.params)
+            if diag["relu_margin"] >= 1e-5 and diag["ln_min_var"] >= 1e-4:
+                break
+        else:
+            pytest.fail("no well-conditioned evaluation point")
+        report = T.finite_diff_check(fn, model.params, eps=1e-6, tol=1e-6,
+                                     coords_per_param=3,
+                                     rng=np.random.default_rng(seed))
+    assert report.passed, (report.worst_param, report.max_rel_err)
+
+
+def test_micro_batches_pack_consecutive_samples_under_the_bound(monkeypatch):
+    cfg = tiny_cfg(vocab_size=len(VOCAB))
+    samples = varied_samples() * 3
+    cost = [max(cfg.heads * len(s.article_ids) ** 2,
+                (len(s.caption_ids) - 1) * cfg.vocab_size) for s in samples]
+    monkeypatch.setattr(R, "MICRO_BATCH_ELEMENTS", 2 * max(cost))
+    runs = R.micro_batches(samples, cfg)
+    assert [s for run in runs for s in run] == samples
+    start = 0
+    for run in runs:
+        assert len(run) * max(cost[start:start + len(run)]) <= \
+            R.MICRO_BATCH_ELEMENTS
+        if start + len(run) < len(samples):  # the next sample did not fit
+            assert (len(run) + 1) * max(cost[start:start + len(run) + 1]) > \
+                R.MICRO_BATCH_ELEMENTS
+        start += len(run)
+    monkeypatch.setattr(R, "MICRO_BATCH_ELEMENTS", 1)
+    assert [len(run) for run in R.micro_batches(samples, cfg)] == [1] * 9
 
 
 def test_train_empty_sets_rejected(tmp_path):

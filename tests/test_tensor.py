@@ -319,6 +319,23 @@ def test_backward_requires_scalar():
         T.backward(t64([[1.0, 2.0]]))
 
 
+def test_backward_drops_interior_gradients_and_keeps_leaf_ones():
+    w = t64([[0.5, -1.0], [2.0, 0.25]])
+    x = t64([[1.0, 3.0]])
+    h = T.matmul(x, w)
+    y = T.tanh(h)
+    loss = T.sum_all(y * y)
+    T.backward(loss)
+    assert h.grad is None and y.grad is None and loss.grad is None
+    dy = 2.0 * np.tanh(x.data @ w.data)
+    dh = dy * (1.0 - np.tanh(x.data @ w.data) ** 2)
+    assert np.allclose(w.grad, x.data.T @ dh, atol=1e-15)
+    assert np.allclose(x.grad, dh @ w.data.T, atol=1e-15)
+    # a leaf read by a later backward adds to the gradient it kept
+    T.backward(T.sum_all(x * 2.0))
+    assert np.allclose(x.grad, dh @ w.data.T + 2.0, atol=1e-15)
+
+
 def test_unreachable_param_gets_zero_grad():
     params = {"used": t64([[1.0]]), "unused": t64([[1.0]])}
     T.backward(T.sum_all(params["used"] * 3.0))
@@ -468,6 +485,39 @@ def test_effective_lr_linear_then_inverse_sqrt():
     assert abs(T.effective_lr(state, step=50) - 0.5 * 5e-4) < 1e-12
     # inverse sqrt after warmup
     assert abs(T.effective_lr(state, step=400) - 5e-4 / 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_adam_step_equals_straight_line_formula_bit_for_bit(dtype):
+    rng = np.random.default_rng(3)
+    # parameters that start at zero stay the size of the updates, so a
+    # change in the update's rounding shows in them
+    p = {"w": T.Tensor(np.zeros((3, 4), dtype)),
+         "b": T.Tensor(np.zeros((1, 4), dtype))}
+    state = T.AdamState(base_lr=2e-3, warmup=3)
+    want = {k: t.data.copy() for k, t in p.items()}
+    m = {k: np.zeros_like(v) for k, v in want.items()}
+    v = {k: np.zeros_like(x) for k, x in want.items()}
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    for step in range(1, 6):
+        grads = {k: (rng.normal(size=x.shape)
+                     * 10.0 ** rng.uniform(-3, 1, size=x.shape)).astype(dtype)
+                 for k, x in want.items()}
+        kept = {k: g.copy() for k, g in grads.items()}
+        T.adam_step(p, grads, state)
+        lr = T.effective_lr(state, step)
+        for k in want:
+            g = kept[k]
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * g * g
+            mhat = m[k] / (1.0 - b1 ** step)
+            vhat = v[k] / (1.0 - b2 ** step)
+            want[k] = want[k] - lr * mhat / (np.sqrt(vhat) + eps)
+            assert np.array_equal(grads[k], kept[k])  # read, not written
+            assert p[k].data.dtype == np.dtype(dtype)
+            assert np.array_equal(p[k].data, want[k]), (k, step)
+            assert np.array_equal(state.m[k], m[k])
+            assert np.array_equal(state.v[k], v[k])
 
 
 def test_adam_shape_mismatch():
