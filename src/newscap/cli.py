@@ -39,11 +39,12 @@ def _sha256_file(path):
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, command, config, inputs):
+def _write_manifest(out_dir, command, config, inputs, **results):
     manifest = {
         "command": command,
         "config": config,
         "inputs": {p: _sha256_file(p) for p in inputs if os.path.exists(p)},
+        **results,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -249,8 +250,11 @@ def cmd_train(args):
         best = runtime.train(cfg, train_samples, val_samples, vocab, store,
                              log_fh=log_fh)
     runtime.save_checkpoint(best, ckpt_path)
+    # best_val_cider is null when no validation ran
     _write_manifest(out, "train", cfg.to_dict(),
-                    [args.processed, args.val, args.vocab])
+                    [args.processed, args.val, args.vocab],
+                    checkpoint={"epoch": best.epoch,
+                                "best_val_cider": best.best_val_cider})
     if best.best_val_cider is None:
         print(f"no validation ran; kept epoch {best.epoch}; wrote {ckpt_path}")
     else:

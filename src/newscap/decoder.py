@@ -12,22 +12,18 @@ from .encoder import aoa, embed_positions, ffn, pad, project_kv
 
 
 @dataclass
-class StepOutput:
-    p_s: np.ndarray        # vocabulary distribution
-    a_v: np.ndarray        # attention over article positions
-    a_e: np.ndarray | None  # attention over entity mentions (None if no entities)
-    p_gen: float
-    q_gen: float
-    p_star: np.ndarray     # final mixed distribution
-
-
-@dataclass
 class DecoderOutput:
-    p_star: T.Tensor       # [N x V] for one sequence or stacked prefixes,
-                           # [B x N x V] for a batch
-    steps: list            # per real row, StepOutput (detached numpy views)
-    kv: list               # per prefix, per layer: its self-attention
-                           # (keys, values) arrays over all its positions
+    """What a decoder call computes. p_star is [N x V] for one sequence or
+    stacked prefixes and [B x N x V] for a batch; the arrays keep the batch
+    axis, [B x N x ...] (B is 1 for one sequence or stacked prefixes)."""
+    p_star: T.Tensor          # final mixed distribution
+    p_s: np.ndarray           # vocabulary distribution
+    a_v: np.ndarray           # last layer's attention over article positions
+    a_e: np.ndarray | None    # ... over entity mentions; None without any
+    p_gen: np.ndarray | None  # [B x N x 1] article copy switch, and
+    q_gen: np.ndarray | None  # entity copy switch; None without the pointer
+    kv: list                  # per prefix, per layer: its self-attention
+                              # (keys, values) arrays over all its positions
 
 
 def causal_mask(rows, keys):
@@ -126,30 +122,26 @@ def pointer_mix(params, x0, v_ctx, a_ctx, e_ctx, a_v, a_e, p_s,
     return mixed, p_gen, q_gen
 
 
-def _rows(input_ids, lengths, past):
+def _rows(input_ids, lengths):
     """The token ids, sequence ids and positions [B x N] of the rows a
-    decoder call runs, and the rows run per prefix.
+    decoder call runs.
 
     Without lengths, each sample of the batch runs its one sequence whole;
     rows past a sequence's end are padding, after all of its real rows, so
     the causal rule alone keeps the real rows from attending them. With
-    lengths, one sample runs stacked prefixes; a prefix with a past runs its
-    last token only.
+    lengths, one sample runs the last token of each stacked prefix.
     """
     if lengths is None:
         ids, _ = pad(input_ids)
         pos = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
-        return ids, np.zeros(ids.shape, dtype=np.int64), pos, None
-    runs = [n if p is None else 1 for n, p in zip(lengths, past)]
-    seq = np.repeat(np.arange(len(lengths)), runs)
-    pos = np.concatenate([np.arange(n - r, n) for n, r in zip(lengths, runs)])
-    first = np.cumsum(lengths) - lengths
-    ids = np.asarray(input_ids)[first[seq] + pos]
-    return ids[None], seq[None], pos[None], runs
+        return ids, np.zeros(ids.shape, dtype=np.int64), pos
+    last = np.cumsum(lengths) - 1
+    return (np.asarray(input_ids)[last][None],
+            np.arange(len(lengths))[None], (np.asarray(lengths) - 1)[None])
 
 
 def decode_distributions(params, cfg, input_ids, contexts, drop=None,
-                         collect_steps=False, lengths=None, past=None):
+                         lengths=None, past=None):
     """Run the decoder stack on BOS-rooted inputs; returns per-position
     final distributions (targets are not consumed here).
 
@@ -159,30 +151,29 @@ def decode_distributions(params, cfg, input_ids, contexts, drop=None,
     not read by anything.
 
     With `lengths`, input_ids stacks BOS-rooted prefixes of those lengths,
-    each attending only within itself, and the output holds one row per
-    prefix: the distribution after its last token. Only those rows go
-    through the output head and the pointer mix.
-
-    past gives, per prefix, the per-layer self-attention (keys, values) of
-    that prefix without its last token (an earlier call's `kv`), or None. A
-    prefix with a past runs its last token only; the others run whole.
+    and the call runs one row per prefix, its last token: p_star holds the
+    distribution after each prefix. past gives, per prefix, the per-layer
+    self-attention (keys, values) of that prefix without its last token (an
+    earlier call's `kv`); only a prefix of BOS alone has none.
     """
     one = np.ndim(input_ids[0]) == 0
     past = past or [None] * len(lengths or ())
-    seqs = [input_ids] if one and lengths is None else input_ids
-    ids, seq, pos, runs = _rows(seqs, lengths, past)
+    if any(p is None and n > 1 for p, n in zip(past, lengths or ())):
+        raise ValueError("a prefix longer than BOS needs the keys and values "
+                         "of its parent (past)")
+    ids, seq, pos = _rows([input_ids] if one and lengths is None
+                          else input_ids, lengths)
     x0 = embed_positions(params, ids, contexts.positions, pos)
-    held = [i for i, p in enumerate(past) if p is not None]
+    held = [p for p in past if p is not None]
     if held:  # the (sequence, position) of every key held in a past
-        at = (np.repeat(held, [lengths[i] - 1 for i in held])[None],
-              np.concatenate([np.arange(lengths[i] - 1) for i in held])[None])
+        at = (np.repeat(np.arange(len(lengths)), np.subtract(lengths, 1))[None],
+              np.concatenate([np.arange(n - 1) for n in lengths])[None])
     x = x0
     own = []
     for l in range(cfg.dec_layers):
-        layer_past = (
-            np.concatenate([past[i][l][0] for i in held], axis=-1),
-            np.concatenate([past[i][l][1] for i in held], axis=-2),
-            at) if held else None
+        layer_past = (np.concatenate([p[l][0] for p in held], axis=-1),
+                      np.concatenate([p[l][1] for p in held], axis=-2),
+                      at) if held else None
         xa, kv = masked_self_aoa(params, f"dec/l{l}/self", x, cfg.heads,
                                  (seq, pos), layer_past, drop=drop)
         own.append(kv)
@@ -195,63 +186,35 @@ def decode_distributions(params, cfg, input_ids, contexts, drop=None,
     # the pointer reads the last layer's head-averaged copy attention only
     a_v = a_att.averaged_weights()
     a_e = None if e_att is None else e_att.averaged_weights()
-    if runs is not None:
-        last = np.s_[:, np.cumsum(runs) - 1]
-        x, x0, v_ctx, a_ctx, e_ctx, a_v, a_e = (
-            None if t is None else T.take(t, last)
-            for t in (x, x0, v_ctx, a_ctx, e_ctx, a_v, a_e))
     p_s = T.softmax(T.matmul(x, params["out/w"]) + params["out/b"], axis=-1)
+    p_star, p_gen, q_gen = p_s, None, None
     if cfg.pointer:
         p_star, p_gen, q_gen = pointer_mix(
             params, x0, v_ctx, a_ctx, e_ctx, a_v, a_e, p_s,
             contexts.article_map, contexts.entity_map, cfg.vocab_size,
             has_entities=contexts.has_entities)
-    else:
-        p_star = p_s
-        p_gen = q_gen = None
-    steps = _steps(contexts, [len(q) for q in seqs] if runs is None
-                   else [len(runs)], p_s, a_v, a_e, p_gen, q_gen,
-                   p_star) if collect_steps else []
     if one:
         p_star = T.reshape(p_star, p_star.shape[1:])
-    return DecoderOutput(p_star=p_star, steps=steps,
-                         kv=[] if runs is None else _prefix_kv(own, past, runs))
+    return DecoderOutput(
+        p_star=p_star, p_s=p_s.data, a_v=a_v.data,
+        a_e=None if a_e is None else a_e.data,
+        p_gen=None if p_gen is None else p_gen.data,
+        q_gen=None if q_gen is None else q_gen.data,
+        kv=[] if lengths is None else _prefix_kv(own, past))
 
 
-def _steps(contexts, rows, p_s, a_v, a_e, p_gen, q_gen, p_star):
-    """A StepOutput per real output row (the first rows[b] of sample b),
-    with each sample's copy attention cut to its real article positions and
-    mentions (a_e None for a sample without mentions)."""
-    _, art_mask, ent_mask = contexts.masks
-    has = contexts.has_entities
-    steps = []
-    for b, t in ((b, t) for b, n in enumerate(rows) for t in range(n)):
-        n_art = a_v.shape[-1] if art_mask is None else int(art_mask[b].sum())
-        n_ent = None if a_e is None or (has is not None and not has[b]) else \
-            a_e.shape[-1] if ent_mask is None else int(ent_mask[b].sum())
-        steps.append(StepOutput(
-            p_s=p_s.data[b, t].copy(),
-            a_v=a_v.data[b, t, :n_art].copy(),
-            a_e=None if n_ent is None else a_e.data[b, t, :n_ent].copy(),
-            p_gen=0.0 if p_gen is None else float(p_gen.data[b, t, 0]),
-            q_gen=0.0 if q_gen is None else float(q_gen.data[b, t, 0]),
-            p_star=p_star.data[b, t].copy(),
-        ))
-    return steps
-
-
-def _prefix_kv(own, past, runs):
+def _prefix_kv(own, past):
     """Each prefix's per-layer (keys, values) over all its positions: its
-    past's, then those of the rows this call ran for it."""
+    past's, then those of the one row this call ran for it."""
     out = []
-    for i, (end, n) in enumerate(zip(np.cumsum(runs), runs)):
+    for i, p in enumerate(past):
         layers = []
         for l, (keys, values) in enumerate(own):
-            k = keys.data[..., end - n:end]
-            v = values.data[..., end - n:end, :]
-            if past[i] is not None:
-                k = np.concatenate([past[i][l][0], k], axis=-1)
-                v = np.concatenate([past[i][l][1], v], axis=-2)
+            k = keys.data[..., i:i + 1]
+            v = values.data[..., i:i + 1, :]
+            if p is not None:
+                k = np.concatenate([p[l][0], k], axis=-1)
+                v = np.concatenate([p[l][1], v], axis=-2)
             layers.append((k, v))
         out.append(layers)
     return out
@@ -276,8 +239,7 @@ def nll_loss(p_star, target_ids):
     return totals, float(totals.data.sum()) / sum(counts)
 
 
-def forward_teacher_forced(params, cfg, caption_ids, contexts, drop=None,
-                           collect_steps=False):
+def forward_teacher_forced(params, cfg, caption_ids, contexts, drop=None):
     """Teacher-forced decoder pass over a full caption (BOS ... EOS), or one
     per sample of a batch; returns nll_loss's per-sample sums and
     per-token mean, and the decoder output."""
@@ -288,7 +250,6 @@ def forward_teacher_forced(params, cfg, caption_ids, contexts, drop=None,
     inputs = [list(c[:-1]) for c in captions]
     targets = [list(c[1:]) for c in captions]
     out = decode_distributions(params, cfg, inputs[0] if one else inputs,
-                               contexts, drop=drop,
-                               collect_steps=collect_steps)
+                               contexts, drop=drop)
     loss, per_token = nll_loss(out.p_star, targets[0] if one else targets)
     return loss, per_token, out

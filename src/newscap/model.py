@@ -3,6 +3,7 @@ encoder + decoder wired together over processed samples."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -27,17 +28,36 @@ class ModelConfig:
     pointer: bool = True
 
     def __post_init__(self):
+        for name in ("vocab_size", "hidden", "heads", "dec_layers",
+                     "k_patches", "feat_dim", "max_pos", "ffn_mult"):
+            require(self, name, 1)
+        require(self, "enc_layers", 0)
+        require(self, "dropout", 0, 1, numbers.Real)
+        if not isinstance(self.pointer, bool):
+            raise ValueError(f"pointer must be a bool, got {self.pointer!r}")
         if self.hidden % self.heads:
             raise ValueError("heads must divide hidden size")
-        if self.dec_layers < 1:
-            raise ValueError("the decoder needs at least one layer")
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        try:
+            return cls(**d)
+        except TypeError as e:  # not a dict, or an unknown or missing key
+            raise ValueError(f"model config: {e}")
+
+
+def require(cfg, name, low, high=float("inf"), kind=numbers.Integral):
+    """Raise ValueError unless field `name` of cfg is of `kind` (a bool is
+    not a number) and in [low, high)."""
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not low <= value < high:
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"{name} must be {what} in [{low}, {high}), got "
+                         f"{value!r}")
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -229,28 +249,37 @@ class CaptionModel:
             positions=positions,
         )
 
-    def loss(self, samples, contexts, drop=None, collect_steps=False):
+    def loss(self, samples, contexts, drop=None):
         """Teacher-forced NLL: a scalar-sized sum for one sample, the [B]
         per-sample sums for a list; also the mean per target token."""
         captions = samples.caption_ids if not isinstance(
             samples, (list, tuple)) else [s.caption_ids for s in samples]
         return D.forward_teacher_forced(
-            self.params, self.cfg, captions, contexts, drop=drop,
-            collect_steps=collect_steps)
+            self.params, self.cfg, captions, contexts, drop=drop)
 
     def next_token_dist(self, prefixes, contexts):
         """Distribution over the next token after a BOS-rooted prefix: [V]
-        for one flat prefix, [k x V] for a list of k prefixes, all stepped
-        by one decoder call. Each stepped prefix's self-attention keys and
-        values stay on the contexts, so a prefix whose parent was stepped
-        runs its last token only."""
+        for one flat prefix, [k x V] for a list of k prefixes. Each decoder
+        call runs one row per prefix over its parent's self-attention keys
+        and values, which stay on the contexts (prefix_kv). Ancestors never
+        stepped are stepped first, shortest first, so a search, which
+        steps children of stepped prefixes, makes one call per step."""
         single = np.ndim(prefixes[0]) == 0
         batch = [tuple(p) for p in ([prefixes] if single else prefixes)]
         held = contexts.prefix_kv
+        missing = set()
+        for p in batch:  # back to its nearest held ancestor, whose are held
+            n = len(p) - 1
+            while n > 0 and p[:n] not in held:
+                missing.add(p[:n])
+                n -= 1
+        groups = [[p for p in missing if len(p) == n]
+                  for n in sorted({len(p) for p in missing})]
         with T.no_grad():
-            out = D.decode_distributions(
-                self.params, self.cfg, [t for p in batch for t in p],
-                contexts, lengths=[len(p) for p in batch],
-                past=[held.get(p[:-1]) for p in batch])
-        held.update(zip(batch, out.kv))
+            for group in groups + [batch]:
+                out = D.decode_distributions(
+                    self.params, self.cfg, [t for p in group for t in p],
+                    contexts, lengths=[len(p) for p in group],
+                    past=[held.get(p[:-1]) for p in group])
+                held.update(zip(group, out.kv))
         return out.p_star.data[0] if single else out.p_star.data

@@ -7,6 +7,7 @@ import copy
 import hashlib
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass, field, asdict
@@ -16,10 +17,14 @@ import numpy as np
 from . import tensor as T
 from . import metrics
 from .corpus import ENTITY_TYPES, UNK, extract_entities, tag_token
-from .model import CaptionModel, ModelConfig
+from .model import CaptionModel, ModelConfig, require
 
 CKPT_MAGIC = b"NCKP"
 CKPT_VERSION = 1
+HEADER_KEYS = ("version", "dtype", "config", "vocab_hash", "step", "epoch",
+               "seed", "rng_state", "adam", "train_config", "best_val_cider",
+               "params", "checksum")
+ADAM_KEYS = ("base_lr", "beta1", "beta2", "eps", "warmup", "step")
 MAX_DECODE_LEN = 31
 # Padded activations per training micro-batch: its sample count times the
 # larger of heads x L^2 (encoder attention scores, L its longest article)
@@ -43,6 +48,19 @@ class TrainConfig:
     max_decode_len: int = MAX_DECODE_LEN
     target_loss: float | None = None  # stop once per-token loss drops below
     model: ModelConfig = None
+
+    def __post_init__(self):
+        for name, least in (("batch_size", 1), ("warmup", 1),
+                            ("patience", 0), ("max_epochs", 0),
+                            ("eval_every", 1), ("seed", 0),
+                            ("max_decode_len", 1)):
+            require(self, name, least)
+        require(self, "base_lr", 0, kind=numbers.Real)
+        require(self, "dropout", 0, 1, numbers.Real)
+        if self.target_loss is not None:
+            require(self, "target_loss", 0, kind=numbers.Real)
+        if not isinstance(self.model, ModelConfig):
+            raise ValueError("model must be a model config")
 
     def to_dict(self):
         return asdict(self)
@@ -106,11 +124,7 @@ def save_checkpoint(ckpt, path):
     buckets = [ckpt.params]
     adam = None
     if ckpt.adam is not None:
-        adam = {
-            "base_lr": ckpt.adam.base_lr, "beta1": ckpt.adam.beta1,
-            "beta2": ckpt.adam.beta2, "eps": ckpt.adam.eps,
-            "warmup": ckpt.adam.warmup, "step": ckpt.adam.step,
-        }
+        adam = {k: getattr(ckpt.adam, k) for k in ADAM_KEYS}
         buckets += [ckpt.adam.m, ckpt.adam.v]
     digest = hashlib.sha256()
     for arr in _blob_arrays(names, buckets, ckpt.params):
@@ -143,6 +157,38 @@ def save_checkpoint(ckpt, path):
     os.replace(tmp, path)
 
 
+def _checked_header(raw, hdr_len):
+    """The header JSON object, once its keys, dtype, adam block and params
+    list have the shape save_checkpoint writes; ValueError names the first
+    field that does not. The config is checked where it is read."""
+    if len(raw) < hdr_len:
+        raise ValueError(f"checkpoint header length {hdr_len} runs past the "
+                         f"end of the file")
+    header = json.loads(raw.decode())
+    if not isinstance(header, dict):
+        raise ValueError("checkpoint header is not a JSON object")
+    missing = [k for k in HEADER_KEYS if k not in header]
+    if missing:
+        raise ValueError(f"checkpoint header lacks {', '.join(missing)}")
+    if header["dtype"] not in ("float32", "float64"):
+        raise ValueError(f"checkpoint header has unknown dtype "
+                         f"{header['dtype']!r}")
+    adam = header["adam"]
+    if adam is not None and (not isinstance(adam, dict)
+                             or sorted(adam) != sorted(ADAM_KEYS)):
+        raise ValueError(f"checkpoint header adam block must hold exactly "
+                         f"{', '.join(ADAM_KEYS)}")
+    entries = header["params"]
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in e["shape"])
+            for e in entries):
+        raise ValueError("checkpoint header params must list each array's "
+                         "name and shape")
+    return header
+
+
 def load_checkpoint(path):
     """Read a checkpoint; each array is read into its own buffer and hashed
     as it comes, and the checksum is verified before anything returns."""
@@ -153,16 +199,13 @@ def load_checkpoint(path):
         version, hdr_len = struct.unpack("<II", preamble[4:])
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        header = json.loads(fh.read(hdr_len).decode())
+        header = _checked_header(fh.read(hdr_len), hdr_len)
         dtype = np.dtype(header["dtype"])
         params = {}
         buckets = [params]
         adam = None
         if header["adam"] is not None:
-            a = header["adam"]
-            adam = T.AdamState(base_lr=a["base_lr"], beta1=a["beta1"],
-                               beta2=a["beta2"], eps=a["eps"],
-                               warmup=a["warmup"], step=a["step"])
+            adam = T.AdamState(**header["adam"])
             buckets += [adam.m, adam.v]
         sizes = [math.prod(e["shape"]) * dtype.itemsize
                  for e in header["params"]]

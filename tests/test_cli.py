@@ -4,6 +4,7 @@ manifests, determinism, and exit codes."""
 import json
 import os
 import shutil
+import struct
 
 import pytest
 
@@ -187,6 +188,9 @@ def test_train_outputs(train_dir):
     manifest = json.loads((train_dir / "manifest.json").read_text())
     assert manifest["command"] == "train"
     assert manifest["config"]["model"]["hidden"] == 16
+    kept = manifest["checkpoint"]
+    val = [json.loads(line)["val_cider"] for line in log]
+    assert kept["best_val_cider"] == max(val) == val[kept["epoch"] - 1]
 
 
 def test_caption_prints_pre_and_post_tc(train_dir, prep_dir, synth_dir,
@@ -267,6 +271,44 @@ def test_truncated_checkpoint_exit_2(tmp_path, train_dir, prep_dir,
                 "--vocab", str(prep_dir / "vocab.json"),
                 "--features", str(synth_dir),
                 "--checkpoint", str(cut)]) == 2
+
+
+def _past_the_end(data, n):
+    """The checkpoint with a header length past the end of the file."""
+    return data[:8] + struct.pack("<I", len(data)) + data[12:]
+
+
+def _edited(edit):
+    def rewrite(data, n):
+        header = json.loads(data[12:12 + n])
+        edit(header)
+        hdr = json.dumps(header).encode()
+        return data[:8] + struct.pack("<I", len(hdr)) + hdr + data[12 + n:]
+    return rewrite
+
+
+@pytest.mark.parametrize("rewrite, named", [
+    (_edited(lambda h: h.pop("dtype")), "dtype"),
+    (_edited(lambda h: h.update(dtype="bogus")), "dtype"),
+    (_edited(lambda h: h["config"].update(extra=1)), "extra"),
+    (_edited(lambda h: h["adam"].pop("beta1")), "adam"),
+    (_edited(lambda h: h["params"][0].pop("shape")), "params"),
+    (_past_the_end, "header length"),
+], ids=["missing-key", "unknown-dtype", "unknown-config-key", "partial-adam",
+        "params-entry-without-shape", "header-past-the-end"])
+def test_malformed_checkpoint_header_exit_2(tmp_path, train_dir, prep_dir,
+                                            synth_dir, capsys, rewrite, named):
+    data = (train_dir / "checkpoint.bin").read_bytes()
+    (n,) = struct.unpack("<I", data[8:12])
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(rewrite(data, n))
+    assert run(["evaluate",
+                "--processed", str(prep_dir / "processed.jsonl"),
+                "--vocab", str(prep_dir / "vocab.json"),
+                "--features", str(synth_dir), "--checkpoint", str(bad),
+                "--out", str(tmp_path / "eval")]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and named in err
 
 
 def _evaluate_with(tmp_path, train_dir, prep_dir, synth_dir, processed=None,
@@ -387,6 +429,8 @@ def test_train_zero_epochs_exit_0(tmp_path, prep_dir, synth_dir, capsys):
     assert rc == 0
     assert (out / "checkpoint.bin").exists()
     assert "no validation ran" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["checkpoint"] == {"epoch": 0, "best_val_cider": None}
 
 
 @pytest.mark.parametrize("cfg", [
@@ -410,6 +454,28 @@ def test_train_bad_config_exit_2(tmp_path, prep_dir, synth_dir, capsys, cfg):
     if isinstance(cfg, dict) and "dropout" in cfg.get("model", {}):
         assert 'top-level "dropout"' in err
     assert not (out / "checkpoint.bin").exists()
+
+
+BAD_VALUES = [("batch_size", 0), ("batch_size", "4"), ("max_epochs", 1.5),
+              ("eval_every", 0), ("dropout", 1.0), ("warmup", 0),
+              ("max_decode_len", 0), ("model.heads", 0),
+              ("model.enc_layers", -1), ("model.hidden", "16")]
+
+
+@pytest.mark.parametrize("field, value", BAD_VALUES,
+                         ids=[f"{f}={v!r}" for f, v in BAD_VALUES])
+def test_train_bad_config_value_exit_2(tmp_path, prep_dir, synth_dir, capsys,
+                                       field, value):
+    """Each value is checked before any work, and the error names it."""
+    cfg = {"max_epochs": 1, "model": {"hidden": 8, "heads": 2, "k_patches": 9,
+                                      "feat_dim": 32, "max_pos": 128}}
+    section, _, name = field.rpartition(".")
+    (cfg["model"] if section else cfg)[name] = value
+    rc, out = _train_config(tmp_path, prep_dir, synth_dir, cfg)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and name in err
+    assert not (out / "train_log.jsonl").exists()
 
 
 def test_train_diverged_exit_3(tmp_path, prep_dir, synth_dir, capsys):

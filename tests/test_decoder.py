@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from newscap import decoder as D
+from newscap import runtime as R
 from newscap import tensor as T
 from newscap.corpus import EntityMention, ProcessedSample, Vocabulary
 from newscap.encoder import project_kv
@@ -302,15 +303,16 @@ def test_forward_teacher_forced_rejects_short_caption():
 def test_step_outputs_are_valid_distributions():
     model = make_model(seed=20)
     sample, ctx = encode(model)
-    _, _, out = model.loss(sample, ctx, collect_steps=True)
-    assert len(out.steps) == len(sample.caption_ids) - 1
-    for step in out.steps:
-        for dist in (step.p_s, step.a_v, step.p_star):
-            assert (dist >= 0).all()
-            assert abs(dist.sum() - 1.0) < 1e-5
-        assert abs(step.a_e.sum() - 1.0) < 1e-5
-        assert 0.0 < step.p_gen < 1.0
-        assert 0.0 < step.q_gen < 1.0
+    _, _, out = model.loss(sample, ctx)
+    n = len(sample.caption_ids) - 1
+    assert out.p_star.shape == (n, len(VOCAB))
+    for dist in (out.p_s[0], out.a_v[0], out.p_star.data):
+        assert (dist >= 0).all()
+        assert np.abs(dist.sum(axis=-1) - 1.0).max() < 1e-5
+    assert np.abs(out.a_e[0].sum(axis=-1) - 1.0).max() < 1e-5
+    for switch in (out.p_gen, out.q_gen):
+        assert switch.shape == (1, n, 1)
+        assert ((0.0 < switch) & (switch < 1.0)).all()
 
 
 def test_no_entities_degrades_gracefully():
@@ -319,19 +321,18 @@ def test_no_entities_degrades_gracefully():
     sample.entities = []
     sample, ctx = encode(model, sample)
     assert all(ent is None for _, _, ent in ctx.memory)
-    _, _, out = model.loss(sample, ctx, collect_steps=True)
-    for step in out.steps:
-        assert step.a_e is None
-        assert step.q_gen == 0.0
-        assert abs(step.p_star.sum() - 1.0) < 1e-5
+    _, _, out = model.loss(sample, ctx)
+    assert out.a_e is None
+    assert (out.q_gen == 0.0).all()
+    assert np.abs(out.p_star.data.sum(axis=-1) - 1.0).max() < 1e-5
 
 
 def test_pointer_off_uses_vocab_distribution():
     model = make_model(seed=22, pointer=False)
     sample, ctx = encode(model)
-    _, _, out = model.loss(sample, ctx, collect_steps=True)
-    for step in out.steps:
-        assert np.array_equal(step.p_star, step.p_s)
+    _, _, out = model.loss(sample, ctx)
+    assert np.array_equal(out.p_star.data, out.p_s[0])
+    assert out.p_gen is None and out.q_gen is None
 
 
 def test_copy_consistency_entity_route():
@@ -345,12 +346,11 @@ def test_copy_consistency_entity_route():
     sample, ctx = encode(model)
     tag_id = VOCAB.tag_id("PERSON")
     assert list(ctx.entity_map[0]) == [tag_id]  # "Zorb" is OOV -> tag id
-    _, _, out = model.loss(sample, ctx, collect_steps=True)
+    _, _, out = model.loss(sample, ctx)
     t = sample.caption_ids[1:].index(tag_id)
-    step = out.steps[t]
-    assert abs(step.p_star[tag_id] - step.a_e[0]) < 1e-9
-    expected_nll = -math.log(step.a_e[0])
     picked = out.p_star.data[t, tag_id]
+    assert abs(picked - out.a_e[0, t, 0]) < 1e-9
+    expected_nll = -math.log(out.a_e[0, t, 0])
     assert abs(-math.log(picked) - expected_nll) < 1e-9
 
 
@@ -449,32 +449,62 @@ def test_stacked_held_and_new_parents_match_full_runs(monkeypatch, entities):
     sample, ctx = encode(model, sample)
     ids = sample.caption_ids
     model.next_token_dist([ids[:2], ids[:3]], ctx)
-    # parents held: ids[:2], ids[:3], ids[:3]; never stepped: ids[:1]'s
-    # (the empty prefix) and (BOS, ids[3])
+    # parents held: ids[:2], ids[:3], ids[:3]; (BOS, ids[3]) was never
+    # stepped, so it is stepped first; ids[:1] has no parent
     prefixes = [ids[:3], ids[:4], [ids[0], ids[3], ids[1]], ids[:1],
                 ids[:3] + [ids[1]]]
     runs = record_rows(monkeypatch)
     stacked = model.next_token_dist(prefixes, ctx)
-    assert runs == [1 + 1 + 3 + 1 + 1]
+    assert runs == [1, 5]
     for row, prefix in zip(stacked, prefixes):
         np.testing.assert_allclose(row, full_run(model, prefix, ctx),
                                    rtol=1e-6, atol=0)
 
 
-def test_prefix_with_unstepped_parent_runs_whole(monkeypatch):
+def test_prefix_with_no_stepped_ancestor_steps_each_ancestor(monkeypatch):
     model = make_model(seed=28, dec_layers=2)
     sample, ctx = encode(model)
-    ids = sample.caption_ids
-    expect = full_run(model, ids[:4], ctx)
+    ids = [VOCAB.bos_id] + list(
+        np.random.default_rng(28).integers(0, len(VOCAB), size=12))
+    expect = full_run(model, ids[:12], ctx)  # the teacher-forced row
     runs = record_rows(monkeypatch)
-    got = model.next_token_dist(ids[:4], ctx)
-    assert runs == [4]
+    got = model.next_token_dist(ids[:12], ctx)
+    assert runs == [1] * 12
     np.testing.assert_allclose(got, expect, rtol=1e-6, atol=0)
     # its child then runs its last token over the held prefix
-    np.testing.assert_allclose(model.next_token_dist(ids[:5], ctx),
-                               full_run(model, ids[:5], ctx), rtol=1e-6,
-                               atol=0)
-    assert runs[1] == 1
+    np.testing.assert_allclose(model.next_token_dist(ids, ctx),
+                               full_run(model, ids, ctx), rtol=1e-6, atol=0)
+    assert runs[12] == 1
+
+
+def test_prefix_without_past_is_rejected():
+    model = make_model(seed=31)
+    sample, ctx = encode(model)
+    ids = sample.caption_ids
+    with pytest.raises(ValueError, match="past"):
+        D.decode_distributions(model.params, model.cfg, ids[:1] + ids[:3],
+                               ctx, lengths=[1, 3])
+
+
+def test_beam_decode_runs_one_row_per_prefix(monkeypatch):
+    model = make_model(seed=32, dec_layers=2)
+    # EOS never wins, so every hypothesis runs all max_len steps
+    model.params["out/b"].data[0, VOCAB.eos_id] = -1e4
+    sample = make_sample()
+    grid = np.random.default_rng(32).normal(
+        size=(model.cfg.k_patches, model.cfg.feat_dim))
+    runs = record_rows(monkeypatch)
+    prefixes = []
+    decode = D.decode_distributions
+
+    def counting(*args, lengths=None, **kwargs):
+        prefixes.append(len(lengths))
+        return decode(*args, lengths=lengths, **kwargs)
+
+    monkeypatch.setattr(D, "decode_distributions", counting)
+    R.decode_sample(model, sample, grid, decode="beam", beam=3, max_len=8)
+    assert len(runs) >= 8 and max(runs) > 1
+    assert runs == prefixes
 
 
 def test_held_step_cost_does_not_grow_with_the_prefix(monkeypatch):

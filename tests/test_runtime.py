@@ -2,6 +2,7 @@
 (against exhaustive enumeration), tag cleaning, and the training loop."""
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,6 +11,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from newscap import runtime as R
 from newscap import tensor as T
@@ -678,6 +680,30 @@ def test_train_empty_sets_rejected(tmp_path):
     samples, store = _training_setup(tmp_path)
     with pytest.raises(ValueError):
         R.train(_train_cfg(), [], samples, VOCAB, store)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=4)
+CONFIG_FIELDS = [(R.TrainConfig, f.name) for f in
+                 dataclasses.fields(R.TrainConfig)] + \
+    [(ModelConfig, f.name) for f in dataclasses.fields(ModelConfig)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CONFIG_FIELDS), JSON_VALUES)
+def test_any_json_field_value_builds_a_config_or_raises_value_error(
+        cls_field, value):
+    cls, name = cls_field
+    model = {"vocab_size": len(VOCAB), "hidden": 8, "heads": 2}
+    try:
+        if cls is ModelConfig:
+            ModelConfig.from_dict(dict(model, **{name: value}))
+        else:
+            R.TrainConfig(**{"model": ModelConfig(**model), name: value})
+    except ValueError:
+        pass
 
 
 def test_train_log_written(tmp_path):
