@@ -113,34 +113,39 @@ def cmd_preprocess(args):
             f"no samples pass the filters: {json.dumps(rejections)} "
             f"(malformed lines: {report.malformed})")
 
-    streams = []
-    for s in kept:
-        streams.append(corpus.tokenize(s.article)[:corpus.MAX_ARTICLE_TOKENS])
-        streams.append(corpus.tokenize(s.caption))
-    vocab = corpus.build_vocab(streams, min_freq=min_freq)
+    # each sample is tokenized once: the vocabulary counts these tokens and
+    # encode_sample encodes them
+    tokens = [corpus.sample_tokens(s) for s in kept]
+    vocab = corpus.build_vocab(
+        (stream for pair in tokens for stream in pair), min_freq=min_freq)
 
-    processed = []
-    for s in kept:
-        try:
-            processed.append(corpus.encode_sample(s, vocab))
-        except CorpusError:
-            rejections["encode_error"] += 1
-    if not processed:
-        raise InputError("no samples survive encoding")
+    def encoded():
+        for s, pair in zip(kept, tokens):
+            try:
+                sample = corpus.encode_sample(s, vocab, pair)
+            except CorpusError:
+                rejections["encode_error"] += 1
+                continue
+            yield sample
 
+    # each sample is encoded as it is written: the processed set is never
+    # held whole, so memory does not grow with it
     processed_path = os.path.join(out, "processed.jsonl")
     vocab_path = os.path.join(out, "vocab.json")
-    corpus.save_processed(processed, processed_path)
+    n_kept = corpus.save_processed(encoded(), processed_path)
+    if not n_kept:
+        os.remove(processed_path)
+        raise InputError("no samples survive encoding")
     vocab.save(vocab_path)
     with open(os.path.join(out, "preprocess_report.json"), "w",
               encoding="utf-8") as fh:
-        json.dump({"kept": len(processed), "rejections": rejections,
+        json.dump({"kept": n_kept, "rejections": rejections,
                    "malformed_lines": report.malformed,
                    "vocab_size": len(vocab), "min_freq": min_freq},
                   fh, sort_keys=True, indent=2)
         fh.write("\n")
     _write_manifest(out, "preprocess", {"min_freq": min_freq}, [args.raw])
-    print(f"kept {len(processed)} samples, vocab size {len(vocab)}")
+    print(f"kept {n_kept} samples, vocab size {len(vocab)}")
     return 0
 
 

@@ -12,7 +12,7 @@ import json
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +55,9 @@ class EntityMention:
     frequency: int = 0
 
     def __post_init__(self):
+        if type(self.start) is not int or type(self.end) is not int:
+            raise CorpusError(f"span bounds must be integers, got "
+                              f"[{self.start!r},{self.end!r})")
         if self.etype not in ENTITY_TYPES:
             raise CorpusError(f"unknown entity type {self.etype!r}")
         if self.start < 0 or self.end <= self.start:
@@ -92,9 +95,10 @@ class ProcessedSample:
             "source": self.source,
             "article_tokens": self.article_tokens,
             "article_ids": self.article_ids,
-            "entities": [asdict(e) for e in self.entities],
+            # an EntityMention's __dict__ holds exactly its fields
+            "entities": [vars(e) for e in self.entities],
             "caption_tokens": self.caption_tokens,
-            "caption_entities": [asdict(e) for e in self.caption_entities],
+            "caption_entities": [vars(e) for e in self.caption_entities],
             "caption_ids": self.caption_ids,
             "feature_ref": self.feature_ref,
         }
@@ -141,23 +145,8 @@ def load_corpus(path, report=None):
                 continue
             report.lines += 1
             try:
-                d = json.loads(line)
-                img = d.get("image", {})
-                ents = d.get("entities") or {}
-                s = RawSample(
-                    id=str(d["id"]),
-                    article=d["article"],
-                    caption=d["caption"],
-                    image_width=int(img.get("width", 0)),
-                    image_height=int(img.get("height", 0)),
-                    source=d.get("source", ""),
-                    feature_path=d.get("feature_path", ""),
-                    article_entities=ents.get("article"),
-                    caption_entities=ents.get("caption"),
-                )
-                if not s.article.strip() or not s.caption.strip():
-                    raise ValueError("empty article or caption")
-            except (KeyError, ValueError, TypeError):
+                s = _raw_sample(json.loads(line))
+            except (KeyError, ValueError, TypeError, OverflowError):
                 report.malformed += 1
                 continue
             report.loaded += 1
@@ -166,6 +155,50 @@ def load_corpus(path, report=None):
         raise CorpusError(
             f"{report.malformed}/{report.lines} malformed lines (>10%)"
         )
+
+
+def _raw_sample(d):
+    """The RawSample of one parsed line; ValueError or TypeError when a field
+    has the wrong type, so the line counts as malformed."""
+    if not isinstance(d, dict):
+        raise TypeError("a line must hold a JSON object")
+    img = d.get("image", {})
+    ents = d.get("entities") or {}
+    if not isinstance(img, dict) or not isinstance(ents, dict):
+        raise TypeError("image and entities must be objects")
+    s = RawSample(
+        id=str(d["id"]),
+        article=d["article"],
+        caption=d["caption"],
+        image_width=int(img.get("width", 0)),
+        image_height=int(img.get("height", 0)),
+        source=d.get("source", ""),
+        feature_path=d.get("feature_path", ""),
+        article_entities=_annotations(ents.get("article")),
+        caption_entities=_annotations(ents.get("caption")),
+    )
+    if not all(isinstance(v, str) for v in (
+            s.article, s.caption, s.source, s.feature_path)):
+        raise TypeError("article, caption, source and feature_path must be "
+                        "strings")
+    if not s.article.strip() or not s.caption.strip():
+        raise ValueError("empty article or caption")
+    return s
+
+
+def _annotations(annotations):
+    """A list of {text, type, start, end} annotations as loaded, or None;
+    TypeError when a field is missing or of the wrong type (a span bound
+    must be an integer)."""
+    if annotations is not None and not (
+            isinstance(annotations, list) and all(
+                isinstance(a, dict) and isinstance(a.get("text"), str)
+                and isinstance(a.get("type"), str)
+                and type(a.get("start")) is int and type(a.get("end")) is int
+                for a in annotations)):
+        raise TypeError("entity annotations must be a list of "
+                        "{text, type, start, end} objects")
+    return annotations
 
 
 def rejection_reason(s, min_words=MIN_CAPTION_WORDS,
@@ -185,31 +218,36 @@ def rejection_reason(s, min_words=MIN_CAPTION_WORDS,
 
 _HTML_RE = re.compile(r"<[^>]*>")
 _BRACKET_RE = re.compile(r"\[[^\]]*\]|\([^)]*\)")
-_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
-_PUNCT = set(string.punctuation)
+_PUNCT = string.punctuation
 
 
 def tokenize(text):
     """Clean and split text: drop HTML tags, bracketed segments and non-ASCII
     characters, split on whitespace, and detach edge punctuation as tokens."""
-    text = _HTML_RE.sub(" ", text)
-    text = _BRACKET_RE.sub(" ", text)
-    text = _NON_ASCII_RE.sub("", text)
+    if "<" in text:
+        text = _HTML_RE.sub(" ", text)
+    if "[" in text or "(" in text:
+        text = _BRACKET_RE.sub(" ", text)
+    text = text.encode("ascii", "ignore").decode("ascii")
     tokens = []
     for chunk in text.split():
-        head = []
-        while chunk and chunk[0] in _PUNCT:
-            head.append(chunk[0])
-            chunk = chunk[1:]
-        tail = []
-        while chunk and chunk[-1] in _PUNCT:
-            tail.append(chunk[-1])
-            chunk = chunk[:-1]
-        tokens.extend(head)
-        if chunk:
+        if chunk[0] not in _PUNCT and chunk[-1] not in _PUNCT:
             tokens.append(chunk)
-        tokens.extend(reversed(tail))
+            continue
+        rest = chunk.lstrip(_PUNCT)
+        tokens.extend(chunk[:len(chunk) - len(rest)])
+        core = rest.rstrip(_PUNCT)
+        if core:
+            tokens.append(core)
+        tokens.extend(rest[len(core):])
     return tokens
+
+
+def sample_tokens(s):
+    """The (article, caption) tokens of a raw sample, the article cut to its
+    first MAX_ARTICLE_TOKENS: what the vocabulary counts and what
+    encode_sample encodes."""
+    return tokenize(s.article)[:MAX_ARTICLE_TOKENS], tokenize(s.caption)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +288,8 @@ class Vocabulary:
         return self._ids.get(token, self._ids[UNK])
 
     def encode(self, tokens):
-        return [self.id_of(t) for t in tokens]
+        get, unk = self._ids.get, self._ids[UNK]
+        return [get(t, unk) for t in tokens]
 
     def decode(self, ids):
         return [self._tokens[i] for i in ids]
@@ -391,13 +430,14 @@ def replace_oov_entities(caption_tokens, caption_entities, vocab):
 # Sample encoding
 
 
-def encode_sample(s, vocab, max_article=MAX_ARTICLE_TOKENS):
-    """Tokenize, truncate the article to 300 tokens, substitute OOV caption
+def encode_sample(s, vocab, tokens):
+    """Encode a raw sample from its sample_tokens(s): substitute OOV caption
     entities by tags, and wrap the caption in BOS/EOS."""
-    article_tokens = tokenize(s.article)[:max_article]
-    caption_tokens = tokenize(s.caption)
-    if not caption_tokens:
-        raise CorpusError(f"sample {s.id}: caption empty after cleaning")
+    article_tokens, caption_tokens = tokens
+    for name, toks in (("article", article_tokens),
+                       ("caption", caption_tokens)):
+        if not toks:
+            raise CorpusError(f"sample {s.id}: {name} empty after cleaning")
 
     art_mentions = extract_entities(article_tokens, _clip_annotations(
         s.article_entities, len(article_tokens)))
@@ -453,10 +493,13 @@ def load_processed(path):
 
 
 def save_processed(samples, path):
+    """Write samples (any iterable) one JSON line each; returns how many."""
+    n = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for s in samples:
+        for n, s in enumerate(samples, 1):
             fh.write(s.to_json())
             fh.write("\n")
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,20 @@ def save_features(grid, path):
 
 
 def _read_sidecar(path):
-    """The sidecar {k, d, checksum} of the feature file at path."""
+    """The sidecar {k, d, checksum} of the feature file at path; k and d
+    must be integers >= 1."""
     try:
         with open(_sidecar_path(path), encoding="utf-8") as fh:
             sidecar = json.load(fh)
-        return {key: sidecar[key] for key in ("k", "d", "checksum")}
+        sidecar = {key: sidecar[key] for key in ("k", "d", "checksum")}
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise FeatureError(f"cannot read the sidecar of {path}: "
                            f"{type(e).__name__}: {e}")
+    for key in ("k", "d"):
+        if type(sidecar[key]) is not int or sidecar[key] < 1:
+            raise FeatureError(f"the sidecar of {path} has {key} "
+                               f"{sidecar[key]!r}; it must be an integer >= 1")
+    return sidecar
 
 
 def load_features(path):
@@ -54,9 +60,13 @@ def load_features(path):
             blob = fh.read()
     except OSError as e:
         raise FeatureError(f"cannot read feature file {path}: {e}")
+    k, d = sidecar["k"], sidecar["d"]
+    if len(blob) != k * d * 4:
+        raise FeatureError(f"{path} holds {len(blob)} bytes; its sidecar's "
+                           f"{k} x {d} float32 grid needs {k * d * 4}")
     if hashlib.sha256(blob).hexdigest() != sidecar["checksum"]:
         raise FeatureError(f"feature checksum mismatch for {path}")
-    grid = np.frombuffer(blob, dtype="<f4").reshape(sidecar["k"], sidecar["d"])
+    grid = np.frombuffer(blob, dtype="<f4").reshape(k, d)
     if not np.all(np.isfinite(grid)):
         raise FeatureError(f"non-finite feature values in {path}")
     return grid.astype(np.float32)

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from . import metrics
 from .corpus import ENTITY_TYPES, UNK, extract_entities, tag_token
-from .model import CaptionModel, ModelConfig, require
+from .model import CaptionModel, ModelConfig, check_params, require
 
 CKPT_MAGIC = b"NCKP"
 CKPT_VERSION = 1
@@ -99,6 +99,10 @@ def checkpoint_from_model(model, **kw):
 def model_from_checkpoint(ckpt, vocab):
     if ckpt.vocab_hash != vocab_hash(vocab):
         raise ValueError("checkpoint vocabulary hash does not match vocabulary")
+    try:
+        check_params(ckpt.config, {k: v.shape for k, v in ckpt.params.items()})
+    except ValueError as e:
+        raise ValueError(f"checkpoint does not fit its config: {e}") from None
     params = {k: T.Tensor(v.copy()) for k, v in ckpt.params.items()}
     return CaptionModel(ckpt.config, vocab, params=params)
 

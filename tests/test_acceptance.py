@@ -20,7 +20,7 @@ from newscap import cli, metrics as M, runtime
 from newscap import tensor as T
 from newscap.corpus import (EntityMention, ProcessedSample, Vocabulary,
                             build_vocab, encode_sample, load_corpus,
-                            load_processed, tokenize)
+                            load_processed, sample_tokens)
 from newscap.decoder import decode_distributions, forward_teacher_forced
 from newscap.features import FeatureStore
 from newscap.gradcheck import PARAM_GROUPS, model_grad_check
@@ -178,10 +178,9 @@ def test_acceptance_4_overfit(tmp_path):
     out = tmp_path / "corpus"
     generate_corpus(str(out), n=32, seed=0, k_patches=9, feat_dim=32)
     raw = list(load_corpus(str(out / "raw.jsonl")))
-    streams = [tokenize(r.article)[:300] for r in raw] + \
-              [tokenize(r.caption) for r in raw]
-    vocab = build_vocab(streams, min_freq=2)
-    samples = [encode_sample(r, vocab) for r in raw]
+    tokens = [sample_tokens(r) for r in raw]
+    vocab = build_vocab([t for pair in tokens for t in pair], min_freq=2)
+    samples = [encode_sample(r, vocab, t) for r, t in zip(raw, tokens)]
     store = FeatureStore(str(out))
     mc = ModelConfig(vocab_size=len(vocab), hidden=64, heads=4, enc_layers=2,
                      dec_layers=2, k_patches=9, feat_dim=32, max_pos=128,
@@ -237,11 +236,12 @@ def test_acceptance_5_ablation_trend(tmp_path):
     # vocabulary from all articles but only training captions: each topic
     # word is in-vocabulary (copyable) yet never a training target for
     # held-out samples; planted entities stay OOV everywhere
-    streams = [tokenize(r.article)[:300] for r in raw] + \
-              [tokenize(r.caption) for r in train_raw]
-    vocab = build_vocab(streams, min_freq=4)
-    train_s = [encode_sample(r, vocab) for r in train_raw]
-    held_s = [encode_sample(r, vocab) for r in held_raw]
+    tokens = [sample_tokens(r) for r in raw]
+    vocab = build_vocab([a for a, _ in tokens] +
+                        [c for _, c in tokens[:len(train_raw)]], min_freq=4)
+    train_s = [encode_sample(r, vocab, t) for r, t in zip(train_raw, tokens)]
+    held_s = [encode_sample(r, vocab, t)
+              for r, t in zip(held_raw, tokens[len(train_raw):])]
     store = FeatureStore(str(out))
     full, no_tc, no_ptr = [], [], []
     for seed in (0, 1, 2):
@@ -468,10 +468,9 @@ def test_acceptance_8_determinism_and_roundtrip(tmp_path):
     out = tmp_path / "corpus"
     generate_corpus(str(out), n=8, seed=5, k_patches=9, feat_dim=32)
     raw = list(load_corpus(str(out / "raw.jsonl")))
-    streams = [tokenize(r.article)[:300] for r in raw] + \
-              [tokenize(r.caption) for r in raw]
-    vocab = build_vocab(streams, min_freq=2)
-    samples = [encode_sample(r, vocab) for r in raw]
+    tokens = [sample_tokens(r) for r in raw]
+    vocab = build_vocab([t for pair in tokens for t in pair], min_freq=2)
+    samples = [encode_sample(r, vocab, t) for r, t in zip(raw, tokens)]
     store = FeatureStore(str(out))
     mc = ModelConfig(vocab_size=len(vocab), hidden=16, heads=2, enc_layers=1,
                      dec_layers=1, k_patches=9, feat_dim=32, max_pos=128,

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface: subcommand wiring,
 manifests, determinism, and exit codes."""
 
+import copy
 import json
 import os
+import pathlib
 import shutil
 import struct
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from newscap import corpus
 from newscap.cli import main
 
 
@@ -121,6 +126,17 @@ def test_preprocess_all_filtered_exit_2(tmp_path):
                 "--out", str(tmp_path / "o")]) == 2
 
 
+def test_preprocess_none_survive_encoding_exit_2(tmp_path, raw20):
+    # five words, none of them ASCII: empty after cleaning
+    lines = [dict(r, caption="\u00e9\u00e9 \u00fc\u00fc \u00e4 \u00f6 \u00e7",
+                  entities=None) for r in raw20]
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    out = tmp_path / "o"
+    assert run(["preprocess", "--raw", str(raw), "--out", str(out)]) == 2
+    assert not (out / "processed.jsonl").exists()
+
+
 def test_preprocess_report_counts_rejections(tmp_path):
     raw = tmp_path / "raw.jsonl"
     good = {"id": "g", "article": "Something happened in town today .",
@@ -137,6 +153,107 @@ def test_preprocess_report_counts_rejections(tmp_path):
     assert report["kept"] == 1
     assert report["rejections"] == {"image_size": 1, "caption_length": 1,
                                     "encode_error": 0}
+
+
+@pytest.fixture(scope="module")
+def raw20(tmp_path_factory):
+    """The lines of a 20-sample synth corpus, each kept by preprocess."""
+    d = tmp_path_factory.mktemp("raw20")
+    assert run(["synth", "--out", str(d), "--n", "20", "--seed", "4"]) == 0
+    return [json.loads(line) for line in
+            (d / "raw.jsonl").read_text().splitlines()]
+
+
+def _preprocess_with(tmp_path, raw_lines, bad):
+    """Preprocess the good lines plus one bad line (a JSON value, or a
+    function of a good line's copy); returns the exit code and the report
+    (None without one)."""
+    line = bad(copy.deepcopy(raw_lines[0])) if callable(bad) else bad
+    raw = tmp_path / "raw.jsonl"
+    raw.write_text("".join(json.dumps(r) + "\n"
+                           for r in raw_lines + [line]))
+    out = tmp_path / "o"
+    rc = run(["preprocess", "--raw", str(raw), "--out", str(out)])
+    report = out / "preprocess_report.json"
+    return rc, json.loads(report.read_text()) if report.exists() else None
+
+
+def _set(path, value):
+    """A function setting the field at path (keys and indices) of a line."""
+    def edit(d):
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return d
+    return edit
+
+
+def _drop_type(d):
+    del d["entities"]["article"][0]["type"]
+    return d
+
+
+@pytest.mark.parametrize("bad", [
+    [1, 2],
+    _set(("article",), 5),
+    _set(("image",), [1, 2]),
+    _set(("entities",), [1]),
+    _set(("entities", "article"), "x"),
+    _drop_type,
+    _set(("entities", "article", 0, "start"), "0"),
+    _set(("entities", "article", 0, "end"), 1.5),
+    _set(("image", "width"), float("inf")),
+    _set(("source",), ["wire"]),
+], ids=["json-list", "article-int", "image-list", "entities-list",
+        "annotations-string", "annotation-without-type", "start-string",
+        "end-float", "width-infinite", "source-list"])
+def test_preprocess_counts_a_malformed_line(tmp_path, raw20, capsys, bad):
+    rc, report = _preprocess_with(tmp_path, raw20, bad)
+    assert rc == 0, capsys.readouterr().err
+    assert report["malformed_lines"] == 1 and report["kept"] == 20
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+_FIELDS = [(), ("id",), ("article",), ("caption",), ("image",),
+           ("image", "width"), ("image", "height"), ("source",),
+           ("feature_path",), ("entities",), ("entities", "article"),
+           ("entities", "caption"), ("entities", "article", 0),
+           ("entities", "article", 0, "text"),
+           ("entities", "article", 0, "type"),
+           ("entities", "article", 0, "start"),
+           ("entities", "article", 0, "end")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_JSON)
+def test_preprocess_any_json_value_in_a_field_exits_0_or_2(raw20, field,
+                                                            value):
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = _set(field, value) if field else value
+        rc, _ = _preprocess_with(pathlib.Path(tmp), raw20, bad)
+        assert rc in (0, 2)
+        if rc == 0:  # what it wrote loads
+            corpus.load_processed(os.path.join(tmp, "o", "processed.jsonl"))
+
+
+def test_preprocess_tokenizes_each_kept_sample_once(tmp_path, raw20,
+                                                    monkeypatch):
+    calls = []
+    tokenize = corpus.tokenize
+    monkeypatch.setattr(corpus, "tokenize",
+                        lambda text: calls.append(text) or tokenize(text))
+    small = dict(raw20[1], id="small", image={"width": 100, "height": 100})
+    rc, report = _preprocess_with(tmp_path, raw20, small)
+    assert rc == 0 and report["rejections"]["image_size"] == 1
+    # one call for the article and one for the caption of each kept sample
+    assert len(calls) == 2 * report["kept"] == 40
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +438,46 @@ def _evaluate_with(tmp_path, train_dir, prep_dir, synth_dir, processed=None,
                 "--checkpoint", str(train_dir / "checkpoint.bin"),
                 "--out", str(tmp_path / "eval")]
                + ([] if limit is None else ["--limit", str(limit)]))
+
+
+def _without(name):
+    def edit(params):
+        del params[name]
+    return edit
+
+
+def _cut(name, rows):
+    def edit(params):
+        params[name] = params[name][:rows]
+    return edit
+
+
+def _junk(params):
+    params["junk"] = params["out/b"].copy()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_without("out/b"), "'out/b' is missing"),
+    (_cut("ptr/wp", 5), "'ptr/wp' has shape (5, 1)"),
+    (_junk, "'junk' is not part of the model"),
+], ids=["missing-param", "cut-param", "extra-param"])
+def test_checkpoint_params_not_fitting_config_exit_2(
+        tmp_path, train_dir, prep_dir, synth_dir, capsys, edit, named):
+    from newscap import runtime
+    ckpt = runtime.load_checkpoint(str(train_dir / "checkpoint.bin"))
+    edit(ckpt.params)
+    ckpt.adam = None
+    bad = tmp_path / "bad.bin"
+    runtime.save_checkpoint(ckpt, str(bad))
+    out = tmp_path / "eval"
+    assert run(["evaluate",
+                "--processed", str(prep_dir / "processed.jsonl"),
+                "--vocab", str(prep_dir / "vocab.json"),
+                "--features", str(synth_dir), "--checkpoint", str(bad),
+                "--limit", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and named in err
+    assert not (out / "report.json").exists()
 
 
 def test_vocab_not_json_exit_2(tmp_path, train_dir, prep_dir, synth_dir):
@@ -606,6 +763,29 @@ def test_missing_feature_sidecar_exit_2(tmp_path, prep_dir, synth_dir, capsys,
     assert "cannot read the sidecar" in capsys.readouterr().err
     assert not (out / "train_log.jsonl").exists()
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("k", 7, "needs 896"),
+    ("k", "9", "'9'"),
+    ("k", -1, "k -1"),
+    ("d", 0, "d 0"),
+    ("d", True, "d True"),
+], ids=["k-too-small", "k-string", "k-negative", "d-zero", "d-bool"])
+def test_feature_sidecar_sizes_checked_exit_2(tmp_path, train_dir, prep_dir,
+                                              synth_dir, capsys, field, value,
+                                              named):
+    features = tmp_path / "features"
+    shutil.copytree(synth_dir, features)
+    lines = (prep_dir / "processed.jsonl").read_text().splitlines()
+    sidecar = features / (json.loads(lines[0])["feature_ref"] + ".json")
+    sidecar.write_text(json.dumps(
+        dict(json.loads(sidecar.read_text()), **{field: value})))
+    assert _evaluate_with(tmp_path, train_dir, prep_dir, features,
+                          limit=1) == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err and named in err
+    assert not (tmp_path / "eval" / "report.json").exists()
 
 
 def test_bad_config_file_exit_2(tmp_path, prep_dir, synth_dir):

@@ -2,6 +2,8 @@
 entity handling, sample encoding, and dataset statistics."""
 
 import json
+import re
+import string
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -129,6 +131,43 @@ def test_tokenize_leading_punctuation():
     assert C.tokenize('"quoted"') == ['"', "quoted", '"']
 
 
+def _tokenize_oracle(text):
+    """The tokenization rule written out straight: regex cleaning, then
+    edge punctuation peeled off one character at a time."""
+    text = re.sub(r"<[^>]*>", " ", text)
+    text = re.sub(r"\[[^\]]*\]|\([^)]*\)", " ", text)
+    text = re.sub(r"[^\x00-\x7f]", "", text)
+    tokens = []
+    for chunk in text.split():
+        head = []
+        while chunk and chunk[0] in string.punctuation:
+            head.append(chunk[0])
+            chunk = chunk[1:]
+        tail = []
+        while chunk and chunk[-1] in string.punctuation:
+            tail.append(chunk[-1])
+            chunk = chunk[:-1]
+        tokens.extend(head)
+        if chunk:
+            tokens.append(chunk)
+        tokens.extend(reversed(tail))
+    return tokens
+
+
+# letters, edge punctuation, tag and bracket delimiters, non-ASCII (with
+# non-ASCII whitespace and lone surrogates), and the \x1c-\x1f separators
+# that str.split treats as whitespace
+_TOKENIZE_ALPHABET = list("abZ09 \t\n.,;'\"!?-$%<>[]()/") + [
+    "\x1c", "\x1d", "\x1e", "\x1f", "\xa0", "\u2028", "\xe9", "\u4e2d",
+    "\ud800", "\udfff", "ab", "<b>", "(x)"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENIZE_ALPHABET), max_size=40).map("".join))
+def test_tokenize_matches_straight_line_rule(text):
+    assert C.tokenize(text) == _tokenize_oracle(text)
+
+
 # ---------------------------------------------------------------------------
 # vocabulary
 
@@ -242,6 +281,9 @@ def test_entity_mention_validation():
         EntityMention("x", "NOT_A_TYPE", 0, 1)
     with pytest.raises(CorpusError):
         EntityMention("x", "PERSON", 2, 2)
+    for start, end in ((0, 1.5), ("0", 1), (False, 1)):
+        with pytest.raises(CorpusError, match="integers"):
+            EntityMention("x", "PERSON", start, end)
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +329,20 @@ def _vocab_for(sample):
     return C.build_vocab([art, cap], min_freq=1)
 
 
+def _encode(s, vocab):
+    return C.encode_sample(s, vocab, C.sample_tokens(s))
+
+
 def test_encode_sample_truncates_article():
     s = raw(article=" ".join(f"w{i}" for i in range(500)))
-    out = C.encode_sample(s, _vocab_for(s))
+    out = _encode(s, _vocab_for(s))
     assert len(out.article_ids) == 300
     assert len(out.article_tokens) == 300
 
 
 def test_encode_sample_short_article_not_padded():
     s = raw(article="just ten tokens in this very short article right here")
-    out = C.encode_sample(s, _vocab_for(s))
+    out = _encode(s, _vocab_for(s))
     assert len(out.article_ids) == 10
 
 
@@ -307,14 +353,14 @@ def test_encode_sample_drops_entities_past_window():
                 {"text": "w10", "type": "ORG", "start": 10, "end": 11},
                 {"text": "w298 w299 w300 w301", "type": "ORG",
                  "start": 298, "end": 302}])
-    out = C.encode_sample(s, _vocab_for(s))
+    out = _encode(s, _vocab_for(s))
     assert [(m.start, m.end) for m in out.entities] == [(10, 11)]
 
 
 def test_encode_sample_caption_wrapped_and_round_trips():
     s = raw(caption="Paris is a lovely city .")
     v = _vocab_for(s)
-    out = C.encode_sample(s, v)
+    out = _encode(s, v)
     assert out.caption_ids[0] == v.bos_id and out.caption_ids[-1] == v.eos_id
     inner = v.decode(out.caption_ids[1:-1])
     assert v.encode(inner) == out.caption_ids[1:-1]
@@ -323,7 +369,14 @@ def test_encode_sample_caption_wrapped_and_round_trips():
 def test_encode_sample_empty_caption_after_cleaning():
     s = raw(caption="éé üü")
     with pytest.raises(CorpusError):
-        C.encode_sample(s, Vocabulary())
+        _encode(s, Vocabulary())
+
+
+def test_encode_sample_empty_article_after_cleaning():
+    # a sample with no article tokens has no key to attend in training
+    s = raw(article="<p> [photo] (file)")
+    with pytest.raises(CorpusError, match="article empty"):
+        _encode(s, Vocabulary())
 
 
 def test_processed_sample_serialization_round_trip():
@@ -336,10 +389,28 @@ def test_processed_sample_serialization_round_trip():
                 {"text": "Obama", "type": "PERSON", "start": 0, "end": 1},
                 {"text": "Paris", "type": "GPE", "start": 3, "end": 4}])
     v = _vocab_for(s)
-    out = C.encode_sample(s, v)
+    out = _encode(s, v)
     again = ProcessedSample.from_json(out.to_json())
     assert again == out
     assert again.to_json() == out.to_json()
+
+
+def test_processed_sample_json_round_trip_with_mentions():
+    s = ProcessedSample(
+        id="p", source="wire", article_tokens=["Obama", "met", "Jean", "Roe"],
+        article_ids=[7, 8, 9, 3],
+        entities=[EntityMention("Obama", "PERSON", 0, 1, 1),
+                  EntityMention("Jean Roe", "PERSON", 2, 4, 2)],
+        caption_tokens=["Obama", "smiles"],
+        caption_entities=[EntityMention("Obama", "PERSON", 0, 1, 1)],
+        caption_ids=[1, 7, 3, 2], feature_ref="f.bin")
+    line = s.to_json()
+    again = ProcessedSample.from_json(line)
+    assert again == s
+    assert again.to_json() == line
+    assert json.loads(line)["entities"][1] == {
+        "text": "Jean Roe", "etype": "PERSON", "start": 2, "end": 4,
+        "frequency": 2}
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -349,7 +420,7 @@ def test_processed_sample_serialization_round_trip():
 ], ids=["missing-field", "not-json", "not-an-object"])
 def test_load_processed_names_the_bad_line(tmp_path, bad, message):
     s = raw(article="Alpha beta gamma delta .", caption="One two three .")
-    good = C.encode_sample(s, _vocab_for(s)).to_json()
+    good = _encode(s, _vocab_for(s)).to_json()
     path = tmp_path / "processed.jsonl"
     path.write_text("\n".join([good, "", bad, good]) + "\n")
     with pytest.raises(CorpusError, match=message):
@@ -359,7 +430,7 @@ def test_load_processed_names_the_bad_line(tmp_path, bad, message):
 def test_preprocessing_deterministic():
     s = raw(article="Alpha beta gamma delta .", caption="One two three four five .")
     v = _vocab_for(s)
-    assert C.encode_sample(s, v).to_json() == C.encode_sample(s, v).to_json()
+    assert _encode(s, v).to_json() == _encode(s, v).to_json()
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from newscap import runtime as R
 from newscap import tensor as T
 from newscap.corpus import EntityMention, ProcessedSample, Vocabulary
 from newscap.features import FeatureStore, save_features, synthetic_features
+from newscap import model as M
 from newscap.model import CaptionModel, ModelConfig
 
 
@@ -175,6 +176,24 @@ def test_checkpoint_vocab_hash_mismatch(tmp_path):
     other = Vocabulary(["different", "words", "here", "now"])
     with pytest.raises(ValueError, match="vocabulary"):
         R.model_from_checkpoint(R.load_checkpoint(path), other)
+
+
+def test_init_params_draws_the_param_table():
+    cfg = tiny_cfg(enc_layers=2, ffn_mult=3)
+    assert {k: p.data.shape for k, p in M.init_params(cfg).items()} == \
+        {k: shape for k, (shape, _) in M.param_table(cfg).items()}
+
+
+def test_model_from_checkpoint_checks_params_without_drawing(monkeypatch):
+    ckpt = R.checkpoint_from_model(make_model(seed=4))
+
+    def draw(*args, **kw):
+        raise AssertionError("init_params called")
+    monkeypatch.setattr(M, "init_params", draw)
+    R.model_from_checkpoint(ckpt, VOCAB)
+    ckpt.params["emb/pos"] = ckpt.params["emb/pos"][:, :4]
+    with pytest.raises(ValueError, match=r"'emb/pos' has shape \(16, 4\)"):
+        R.model_from_checkpoint(ckpt, VOCAB)
 
 
 # ---------------------------------------------------------------------------
