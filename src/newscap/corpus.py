@@ -106,8 +106,10 @@ class ProcessedSample:
 
     @classmethod
     def from_json(cls, line):
+        """Parse one processed line; raises ValueError when its ids do not
+        match its article or a mention lies outside its text."""
         d = json.loads(line)
-        return cls(
+        s = cls(
             id=d["id"],
             source=d["source"],
             article_tokens=d["article_tokens"],
@@ -118,6 +120,18 @@ class ProcessedSample:
             caption_ids=d["caption_ids"],
             feature_ref=d["feature_ref"],
         )
+        if len(s.article_ids) != len(s.article_tokens):
+            raise ValueError(f"{len(s.article_ids)} article ids for "
+                             f"{len(s.article_tokens)} article tokens")
+        for name, mentions, tokens in (
+                ("article", s.entities, s.article_tokens),
+                ("caption", s.caption_entities, s.caption_tokens)):
+            for m in mentions:
+                if m.end > len(tokens):
+                    raise ValueError(
+                        f"{name} mention [{m.start},{m.end}) lies outside "
+                        f"its {len(tokens)} tokens")
+        return s
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +419,10 @@ def extract_entities(tokens, annotations=None):
 
 def replace_oov_entities(caption_tokens, caption_entities, vocab):
     """Replace entity mentions containing any OOV token with their category tag;
-    other OOV tokens become UNK."""
-    mentions = _validate_mentions(caption_tokens, caption_entities)
+    other OOV tokens become UNK. caption_entities are EntityMentions as
+    extract_entities returns them: inside the caption, not overlapping."""
     out = []
-    by_start = {m.start: m for m in mentions}
+    by_start = {m.start: m for m in caption_entities}
     i = 0
     while i < len(caption_tokens):
         m = by_start.get(i)
@@ -430,23 +444,28 @@ def replace_oov_entities(caption_tokens, caption_entities, vocab):
 # Sample encoding
 
 
-def encode_sample(s, vocab, tokens):
-    """Encode a raw sample from its sample_tokens(s): substitute OOV caption
-    entities by tags, and wrap the caption in BOS/EOS."""
+def sample_mentions(s, tokens):
+    """The validated (article, caption) EntityMentions of a raw sample from
+    its sample_tokens(s); article annotations past the cut are dropped.
+    Raises CorpusError when the article or caption is empty after cleaning
+    or a mention is invalid, out of range or overlapping another: such a
+    sample cannot be encoded."""
     article_tokens, caption_tokens = tokens
     for name, toks in (("article", article_tokens),
                        ("caption", caption_tokens)):
         if not toks:
             raise CorpusError(f"sample {s.id}: {name} empty after cleaning")
+    return (extract_entities(article_tokens, _clip_annotations(
+                s.article_entities, len(article_tokens))),
+            extract_entities(caption_tokens, s.caption_entities))
 
-    art_mentions = extract_entities(article_tokens, _clip_annotations(
-        s.article_entities, len(article_tokens)))
-    cap_annotations = s.caption_entities
-    if cap_annotations is None:
-        cap_mentions = extract_entities(caption_tokens)
-    else:
-        cap_mentions = extract_entities(caption_tokens, cap_annotations)
 
+def encode_sample(s, vocab, tokens, mentions=None):
+    """Encode a raw sample from its sample_tokens(s) and sample_mentions
+    (found here when not given): substitute OOV caption entities by tags,
+    and wrap the caption in BOS/EOS."""
+    article_tokens, caption_tokens = tokens
+    art_mentions, cap_mentions = mentions or sample_mentions(s, tokens)
     substituted = replace_oov_entities(caption_tokens, cap_mentions, vocab)
     caption_ids = [vocab.bos_id] + vocab.encode(substituted) + [vocab.eos_id]
 
@@ -486,7 +505,7 @@ def load_processed(path):
             except KeyError as e:
                 raise CorpusError(
                     f"{path} line {n}: missing field {e.args[0]!r}") from None
-            except (TypeError, ValueError) as e:
+            except (TypeError, ValueError, CorpusError) as e:
                 raise CorpusError(
                     f"{path} line {n}: malformed sample: {e}") from None
     return samples

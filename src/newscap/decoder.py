@@ -34,44 +34,44 @@ def causal_mask(rows, keys):
         (keys[1][..., None, :] <= rows[1][..., :, None])
 
 
-def masked_self_aoa(params, pfx, x, heads, rows, past=None, drop=None):
-    """Self-AoA under causal_mask; rows is the (sequence, position) of each
-    row of x. past, if given, is the (keys, values, (sequences, positions))
-    of earlier rows, held from an earlier call, that these rows attend too.
-    Returns the output and the projected (keys, values) of x's own rows."""
+def masked_self_aoa(params, pfx, x, heads, mask, past=None, drop=None):
+    """Self-AoA under a causal_mask; mask is [... x rows x keys], the keys
+    being the rows of past (if any), then x's own. past, if given, is the
+    (keys, values) arrays of earlier rows held from earlier calls, each a
+    list of parts joined along the key axis. Returns the output and the
+    projected (keys, values) of x's own rows."""
     own = project_kv(params, pfx, x, heads)
-    kv, at = own, rows
+    kv = own
     if past is not None:
-        keys, values, held = past
-        kv = (T.concat([T.Constant(keys), own[0]], axis=-1),
-              T.concat([T.Constant(values), own[1]], axis=-2))
-        at = tuple(np.concatenate(pair, axis=-1) for pair in zip(held, rows))
-    out, _ = aoa(params, pfx, x, kv, heads, mask=causal_mask(rows, at),
-                 drop=drop)
+        kv = (T.concat([*past[0], own[0]], axis=-1),
+              T.concat([*past[1], own[1]], axis=-2))
+    out, _ = aoa(params, pfx, x, kv, heads, mask=mask, drop=drop)
     return out, own
 
 
 def multimodal_aoa(params, pfx, xa, img, art, ent, heads, drop=None,
-                   masks=(None, None, None), has_entities=None):
+                   masks=(None, None, None), has_entities=None,
+                   average=False):
     """Three AoA blocks sharing the query, over the projected (keys, values)
     of the image, the article and the entities (None without entities),
-    each read under its key mask of masks; returns attended contexts plus
-    the article and entity attention results (None without entities). The
-    entity context of a sample whose has_entities is 0 is zero."""
+    each read under its key mask of masks; returns the attended contexts
+    and, with average, the head-averaged attention weights over the article
+    and the entities (else None; None too without entities). The entity
+    context of a sample whose has_entities is 0 is zero."""
     img_mask, art_mask, ent_mask = masks
     v_ctx, _ = aoa(params, pfx + "/img", xa, img, heads, mask=img_mask,
                    drop=drop)
-    a_ctx, a_att = aoa(params, pfx + "/art", xa, art, heads, mask=art_mask,
-                       drop=drop)
+    a_ctx, a_w = aoa(params, pfx + "/art", xa, art, heads, mask=art_mask,
+                     drop=drop, average=average)
     if ent is not None:
-        e_ctx, e_att = aoa(params, pfx + "/ent", xa, ent, heads,
-                           mask=ent_mask, drop=drop)
+        e_ctx, e_w = aoa(params, pfx + "/ent", xa, ent, heads,
+                         mask=ent_mask, drop=drop, average=average)
         if has_entities is not None:
             e_ctx = e_ctx * T.Constant(has_entities)
     else:
         e_ctx = T.Constant(np.zeros(xa.data.shape, dtype=xa.data.dtype))
-        e_att = None
-    return v_ctx, a_ctx, e_ctx, a_att, e_att
+        e_w = None
+    return v_ctx, a_ctx, e_ctx, a_w, e_w
 
 
 def fuse_and_project(params, pfx, xa, v_ctx, a_ctx, e_ctx, drop=None):
@@ -82,44 +82,29 @@ def fuse_and_project(params, pfx, xa, v_ctx, a_ctx, e_ctx, drop=None):
                         params[pfx + "/ln2_g"], params[pfx + "/ln2_b"])
 
 
-def _scatter_into_vocab(att, ids, vocab_size):
-    """Add attention [... x R x L] over copy positions into [... x R x V] at
-    the vocabulary ids [... x L] of those positions: one id list per
-    leading index (per sample), shared by its R rows."""
-    lead = att.shape[:-1]
-    index = tuple(np.arange(n).reshape((n,) + (1,) * (len(lead) - i))
-                  for i, n in enumerate(lead))
-    return T.scatter_add(att, index + (np.asarray(ids)[..., None, :],),
-                         lead + (vocab_size,))
-
-
 def pointer_mix(params, x0, v_ctx, a_ctx, e_ctx, a_v, a_e, p_s,
                 article_map, entity_map, vocab_size, has_entities=None):
-    """Mix the vocabulary distribution with the two copy distributions.
+    """Mix the vocabulary distribution with the two copy distributions
+    (tensor.switches, then tensor.copy_mix): the switches
+    p_gen = sigmoid([x0 ; a_ctx ; v_ctx] wp + bp) and
+    q_gen = sigmoid([x0 ; e_ctx ; v_ctx] wq + bq) weight the article and
+    entity copies.
 
     The raw mixture weights (p_gen, q_gen, 1-p_gen-q_gen) can leave the
     simplex since the switches are independent sigmoids; the last weight is
     clamped at zero and the triple renormalized so the result is always a
-    distribution. q_gen is 0 for a sample whose has_entities is 0.
+    distribution. q_gen is 0 for a sample whose has_entities is 0. Returns
+    the mixture [... x R x V] and the arrays p_gen and q_gen.
     """
-    dtype = p_s.data.dtype
-    p_gen = T.sigmoid(T.matmul(T.concat([x0, a_ctx, v_ctx], axis=-1),
-                               params["ptr/wp"]) + params["ptr/bp"])
-    if a_e is not None:
-        q_gen = T.sigmoid(T.matmul(T.concat([x0, e_ctx, v_ctx], axis=-1),
-                                   params["ptr/wq"]) + params["ptr/bq"])
-        if has_entities is not None:
-            q_gen = q_gen * T.Constant(has_entities)
-    else:
-        q_gen = T.Constant(np.zeros(p_gen.data.shape, dtype=dtype))
-    w_s = T.relu(1.0 - p_gen - q_gen)
-    denom = p_gen + q_gen + w_s
-    copy_v = _scatter_into_vocab(a_v, article_map, vocab_size)
-    mixed = (p_gen / denom) * copy_v + (w_s / denom) * p_s
-    if a_e is not None:
-        copy_e = _scatter_into_vocab(a_e, entity_map, vocab_size)
-        mixed = mixed + (q_gen / denom) * copy_e
-    return mixed, p_gen, q_gen
+    if p_s.shape[-1] != vocab_size:
+        raise ValueError("vocabulary distribution does not match vocab_size")
+    sw = T.switches(((x0, a_ctx, v_ctx), params["ptr/wp"], params["ptr/bp"]),
+                    None if a_e is None else
+                    ((x0, e_ctx, v_ctx), params["ptr/wq"], params["ptr/bq"]),
+                    has=has_entities)
+    mixed = T.copy_mix(p_s, sw, (a_v, article_map),
+                       None if a_e is None else (a_e, entity_map))
+    return mixed, sw.data[..., :1], sw.data[..., 1:]
 
 
 def _rows(input_ids, lengths):
@@ -165,27 +150,32 @@ def decode_distributions(params, cfg, input_ids, contexts, drop=None,
                           else input_ids, lengths)
     x0 = embed_positions(params, ids, contexts.positions, pos)
     held = [p for p in past if p is not None]
-    if held:  # the (sequence, position) of every key held in a past
-        at = (np.repeat(np.arange(len(lengths)), np.subtract(lengths, 1))[None],
-              np.concatenate([np.arange(n - 1) for n in lengths])[None])
+    at = (seq, pos)
+    if held:  # the keys held in a past come first, then the rows' own
+        at = (np.concatenate([np.repeat(np.arange(len(lengths)),
+                                        np.subtract(lengths, 1))[None], seq],
+                             axis=-1),
+              np.concatenate([np.arange(n - 1) for n in lengths]
+                             + [pos[0]])[None])
+    mask = causal_mask((seq, pos), at)
+    if mask.all():  # hides nothing (one held row): no penalty, no row check
+        mask = None
     x = x0
     own = []
+    last = cfg.dec_layers - 1
     for l in range(cfg.dec_layers):
-        layer_past = (np.concatenate([p[l][0] for p in held], axis=-1),
-                      np.concatenate([p[l][1] for p in held], axis=-2),
-                      at) if held else None
+        layer_past = ([p[l][0] for p in held],
+                      [p[l][1] for p in held]) if held else None
         xa, kv = masked_self_aoa(params, f"dec/l{l}/self", x, cfg.heads,
-                                 (seq, pos), layer_past, drop=drop)
+                                 mask, layer_past, drop=drop)
         own.append(kv)
-        v_ctx, a_ctx, e_ctx, a_att, e_att = multimodal_aoa(
+        # the pointer reads the last layer's copy attention only
+        v_ctx, a_ctx, e_ctx, a_v, a_e = multimodal_aoa(
             params, f"dec/l{l}", xa, *contexts.memory[l], cfg.heads,
             drop=drop, masks=contexts.masks,
-            has_entities=contexts.has_entities)
+            has_entities=contexts.has_entities, average=l == last)
         x = fuse_and_project(params, f"dec/l{l}", xa, v_ctx, a_ctx, e_ctx,
                              drop=drop)
-    # the pointer reads the last layer's head-averaged copy attention only
-    a_v = a_att.averaged_weights()
-    a_e = None if e_att is None else e_att.averaged_weights()
     p_s = T.softmax(T.matmul(x, params["out/w"]) + params["out/b"], axis=-1)
     p_star, p_gen, q_gen = p_s, None, None
     if cfg.pointer:
@@ -197,9 +187,7 @@ def decode_distributions(params, cfg, input_ids, contexts, drop=None,
         p_star = T.reshape(p_star, p_star.shape[1:])
     return DecoderOutput(
         p_star=p_star, p_s=p_s.data, a_v=a_v.data,
-        a_e=None if a_e is None else a_e.data,
-        p_gen=None if p_gen is None else p_gen.data,
-        q_gen=None if q_gen is None else q_gen.data,
+        a_e=None if a_e is None else a_e.data, p_gen=p_gen, q_gen=q_gen,
         kv=[] if lengths is None else _prefix_kv(own, past))
 
 

@@ -5,24 +5,11 @@ every token embedding."""
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-
-
-@dataclass
-class AttentionResult:
-    out: T.Tensor                 # [... x Lq x H]
-    weights: T.Tensor             # [... x heads x Lq x Lk]
-
-    def averaged_weights(self):
-        """The weights averaged over heads, [... x Lq x Lk]."""
-        shape = self.weights.shape
-        return T.reshape(T.avg_pool_rows(self.weights, axis=-3),
-                         shape[:-3] + shape[-2:])
 
 
 @dataclass
@@ -81,53 +68,45 @@ def project_kv(params, pfx, x, heads):
             _split_heads(x, params[pfx + "/wv"], heads, (1, 0, 2)))
 
 
-def mh_attention(params, pfx, q, kv, heads, mask=None):
+def mh_attention(params, pfx, q, kv, heads, mask=None, average=False):
     """Scaled dot-product attention of the rows of q [... x Lq x H] with
     `heads` heads over the projected (keys, values) pair kv of project_kv;
-    leading axes (a batch) broadcast.
+    leading axes (a batch) broadcast. One tensor op (tensor.attention).
 
     mask, if given, is a boolean array that broadcasts to [... x Lq x Lk];
     False entries are not attendable. A row with no attendable key is an
-    error.
+    error. With average, returns the output and the attention weights
+    averaged over the heads, [... x Lq x Lk].
     """
-    keys, values = kv
-    h = q.shape[-1]
-    scale = 1.0 / math.sqrt(h // heads)
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if not mask.any(axis=-1).all():
             raise ValueError("attention row with no attendable key")
-    qh = _split_heads(q, params[pfx + "/wq"], heads, (1, 0, 2))
-    scores = T.matmul(qh, keys) * scale
-    if mask is not None and not mask.all():
-        # a mask that hides nothing adds nothing (a held decoding step); the
-        # penalty broadcasts over the heads axis
-        scores = scores + T.Constant(np.where(mask, 0.0, -1e9).astype(
-            q.data.dtype)[..., None, :, :])
-    w = T.softmax(scores, axis=-1)
-    ctx = T.reshape(T.transpose(T.matmul(w, values),
-                                _after_lead(q.data.ndim + 1, (1, 0, 2))),
-                    q.shape)
-    out = T.matmul(ctx, params[pfx + "/wo"])
-    return AttentionResult(out=out, weights=w)
+    return T.attention(q, params[pfx + "/wq"], *kv, params[pfx + "/wo"],
+                       heads, mask=mask, average=average)
 
 
-def aoa(params, pfx, query_in, kv, heads, mask=None, drop=None):
+def aoa(params, pfx, query_in, kv, heads, mask=None, drop=None,
+        average=False):
     """Attention on attention: gate the attended vector with a sigmoid of the
-    concatenated [attended ; query] features. kv is the projected (keys,
-    values) pair of project_kv."""
-    att = mh_attention(params, pfx, query_in, kv, heads, mask=mask)
-    cat = T.concat([att.out, query_in], axis=-1)
-    gate = T.sigmoid(T.matmul(cat, params[pfx + "/gate_wg"]) + params[pfx + "/gate_bg"])
-    info = T.matmul(cat, params[pfx + "/gate_wa"]) + params[pfx + "/gate_ba"]
-    out = _drop(gate * info, drop)
-    return out, att
+    concatenated [attended ; query] features (tensor.aoa_gate). kv is the
+    projected (keys, values) pair of project_kv. Returns the output and,
+    with average, mh_attention's head-averaged weights (else None)."""
+    att = mh_attention(params, pfx, query_in, kv, heads, mask=mask,
+                       average=average)
+    att, weights = att if average else (att, None)
+    out = T.aoa_gate(att, query_in, params[pfx + "/gate_wg"],
+                     params[pfx + "/gate_bg"], params[pfx + "/gate_wa"],
+                     params[pfx + "/gate_ba"])
+    return _drop(out, drop), weights
 
 
 def ffn(params, pfx, x, drop=None):
-    """Two-layer position-wise feed-forward with ReLU."""
-    h = T.relu(T.matmul(x, params[pfx + "/w1"]) + params[pfx + "/b1"])
-    return _drop(T.matmul(h, params[pfx + "/w2"]) + params[pfx + "/b2"], drop)
+    """Two-layer position-wise feed-forward with ReLU
+    (tensor.feed_forward)."""
+    return _drop(T.feed_forward(x, params[pfx + "/w1"], params[pfx + "/b1"],
+                                params[pfx + "/w2"], params[pfx + "/b2"]),
+                 drop)
 
 
 def position_lstm(params, cfg, length):

@@ -6,14 +6,17 @@ matrices, so attention runs its heads along a leading axis. Every index
 operation is one of a single adjoint pair: take gathers (slices, embedding
 rows, per-row targets) and scatter_add adds back (the copy distributions,
 per-mention sums). The position LSTM is one op, lstm, with hand-written
-backpropagation through time. Ops record backward closures onto the tensors
-they produce; backward() runs the chain rule over a topological sort. An op
-computes no gradient for a Constant operand.
+backpropagation through time, and so is each of the model's repeated blocks:
+attention, aoa_gate, feed_forward, and the pointer's switches and copy_mix. Ops
+record backward closures onto the tensors they produce; backward() runs the
+chain rule over a topological sort. An op computes no gradient for a
+Constant operand.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -248,11 +251,11 @@ def matmul(a, b):
 
 def transpose(a, axes=None):
     """Permute the axes as np.transpose does (reverse them by default)."""
-    out = Tensor(np.transpose(a.data, axes), (a,))
+    out = Tensor(a.data.transpose(axes), (a,))
 
     def bw():
-        a._accum(np.transpose(out.grad,
-                              None if axes is None else np.argsort(axes)))
+        a._accum(out.grad.transpose(None if axes is None
+                                    else np.argsort(axes)))
 
     _register(out, bw)
     return out
@@ -268,17 +271,22 @@ def reshape(a, shape):
     return out
 
 
-def concat(tensors, axis=0):
-    tensors = list(tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
+def concat(parts, axis=0):
+    """Join tensors along an axis; a plain array among them is a constant
+    part, joined in the same copy."""
+    parts = list(parts)
+    out = Tensor(np.concatenate([getattr(t, "data", t) for t in parts],
+                                axis=axis),
+                 tuple(t for t in parts if isinstance(t, Tensor)))
+    sizes = [t.shape[axis] for t in parts]
 
     def bw():
         start = 0
-        for t, size in zip(tensors, sizes):
-            sl = [slice(None)] * out.grad.ndim
-            sl[axis] = slice(start, start + size)
-            t._accum(out.grad[tuple(sl)])
+        for t, size in zip(parts, sizes):
+            if isinstance(t, Tensor):
+                sl = [slice(None)] * out.grad.ndim
+                sl[axis] = slice(start, start + size)
+                t._accum(out.grad[tuple(sl)])
             start += size
 
     _register(out, bw)
@@ -436,20 +444,6 @@ def scatter_add(a, index, shape):
     return out
 
 
-def avg_pool_rows(x, axis=0):
-    """The mean over one axis, kept with extent 1 (rounded as np.mean)."""
-    n = x.data.shape[axis]
-    if n == 0:
-        raise ValueError("avg_pool_rows on empty input")
-    out = Tensor(np.add.reduce(x.data, axis=axis, keepdims=True) / n, (x,))
-
-    def bw():
-        x._accum(np.repeat(out.grad, n, axis=axis) / n)
-
-    _register(out, bw)
-    return out
-
-
 def dropout(x, rate, training, rng):
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must be in [0, 1)")
@@ -533,6 +527,276 @@ def lstm(x, wx, wh, b):
         wx._accum(x.data.T @ dgates)
         wh._accum(h_prev.T @ dgates)
         b._accum(dgates.sum(axis=0, keepdims=True))
+
+    _register(out, bw)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Fused blocks. Each forward makes the numpy calls of the ops it replaces, in
+# their order, and each backward makes those ops' chain-rule calls, so a
+# block rounds as its composition did. An operand that its composition read
+# more than once (a query, a concatenated feature) takes its gradients
+# summed in the order the composition's tape summed them.
+
+
+@functools.lru_cache(maxsize=None)
+def _heads_perm(ndim):
+    """Swap the two axes before the last of ndim: [... x rows x heads x d]
+    <-> [... x heads x rows x d]."""
+    return tuple(range(ndim - 3)) + (ndim - 2, ndim - 3, ndim - 1)
+
+
+def _bias(b, z):
+    """b's data with z's rank: numpy adds operands of equal rank faster."""
+    return b.data[(None,) * (z.ndim - b.data.ndim)]
+
+
+def _sigmoid(z):
+    # saturated inputs overflow exp but land on exact 0/1, which is fine
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _give(t, g):
+    """Add g to t's gradient unless t takes none."""
+    if t.requires_grad:
+        t._accum(g)
+
+
+def _t(a):
+    return a.swapaxes(-1, -2)
+
+
+def attention(q, wq, keys, values, wo, heads, mask=None, average=False):
+    """Multi-head scaled dot-product attention: the rows of q [... x Lq x H]
+    projected by wq and split into heads, scored against keys [... x heads
+    x dh x Lk], scaled, masked, softmaxed over the keys, used to weight
+    values [... x heads x Lk x dh], merged and projected by wo.
+
+    mask, a boolean array that broadcasts to [... x Lq x Lk], hides its
+    False entries by a -1e9 penalty. With average, also returns the weights
+    averaged over the heads [... x Lq x Lk] as a tensor; this op's backward
+    takes in its gradient.
+    """
+    shape = q.data.shape
+    if shape[-1] % heads:
+        raise ValueError("head count must divide hidden size")
+    dh = shape[-1] // heads
+    perm = _heads_perm(len(shape) + 1)
+    y = q.data @ wq.data
+    qh = y.reshape(shape[:-1] + (heads, dh)).transpose(perm)
+    s = qh @ keys.data
+    scale = s.dtype.type(1.0 / math.sqrt(dh))
+    s = s * scale
+    if mask is not None and not mask.all():
+        s = s + np.where(mask, 0.0, -1e9).astype(s.dtype)[..., None, :, :]
+    e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    c = p @ values.data
+    ctx = c.transpose(perm).reshape(shape)
+    out = Tensor(ctx @ wo.data, (q, wq, keys, values, wo))
+    from_avg = []     # the averaged weights' gradient, as one of p
+
+    def bw():
+        gp = from_avg.pop() if from_avg else None
+        g = out.grad
+        if g is not None:
+            _give(wo, _unbroadcast(_t(ctx) @ g, wo.data.shape))
+            dctx = _unbroadcast(g @ _t(wo.data), shape)
+            dc = np.ascontiguousarray(
+                dctx.reshape(tuple(c.shape[i] for i in perm)).transpose(perm))
+            _give(values, _unbroadcast(_t(p) @ dc, values.data.shape))
+            dp = _unbroadcast(dc @ _t(values.data), p.shape)
+            gp = dp if gp is None else gp + dp
+        if gp is None:
+            return
+        ds = p * (gp - np.add.reduce(gp * p, axis=-1, keepdims=True)) * scale
+        _give(keys, _unbroadcast(_t(qh) @ ds, keys.data.shape))
+        dy = np.ascontiguousarray(_unbroadcast(
+            ds @ _t(keys.data), qh.shape).transpose(perm)).reshape(y.shape)
+        _give(q, _unbroadcast(dy @ _t(wq.data), shape))
+        _give(wq, _unbroadcast(_t(q.data) @ dy, wq.data.shape))
+
+    _register(out, bw)
+    if not average:
+        return out
+    n = p.shape[-3]
+    pooled = np.add.reduce(p, axis=-3, keepdims=True) / n
+    # the weights depend on the query and the keys; listing those after the
+    # output makes the tape's depth-first walk meet them in the order that
+    # the composed ops' walk did
+    avg = Tensor(pooled.reshape(p.shape[:-3] + p.shape[-2:]), (out, q, keys))
+
+    def bw_avg():
+        from_avg.append(np.repeat(avg.grad.reshape(pooled.shape), n,
+                                  axis=-3) / n)
+
+    _register(avg, bw_avg)
+    return out, avg
+
+
+def aoa_gate(att, x, wg, bg, wa, ba):
+    """The attention-on-attention gate: with c = [att ; x] along the last
+    axis, sigmoid(c wg + bg) * (c wa + ba)."""
+    cat = np.concatenate([att.data, x.data], axis=-1)
+    gate = _sigmoid(cat @ wg.data + _bias(bg, cat))
+    info = cat @ wa.data + _bias(ba, cat)
+    out = Tensor(gate * info, (att, x, wg, bg, wa, ba))
+
+    def bw():
+        g = out.grad
+        dzg = g * info * gate * (1.0 - gate)
+        dza = g * gate
+        _give(bg, _unbroadcast(dzg, bg.data.shape))
+        _give(wg, _unbroadcast(_t(cat) @ dzg, wg.data.shape))
+        _give(ba, _unbroadcast(dza, ba.data.shape))
+        _give(wa, _unbroadcast(_t(cat) @ dza, wa.data.shape))
+        dcat = _unbroadcast(dzg @ _t(wg.data), cat.shape) \
+            + _unbroadcast(dza @ _t(wa.data), cat.shape)
+        h = att.data.shape[-1]
+        _give(att, dcat[..., :h])
+        _give(x, dcat[..., h:])
+
+    _register(out, bw)
+    return out
+
+
+def feed_forward(x, w1, b1, w2, b2):
+    """The position-wise feed-forward map relu(x w1 + b1) w2 + b2."""
+    z = x.data @ w1.data + _bias(b1, x.data)
+    if _DIAG is not None and z.size:
+        _DIAG["relu_margin"] = min(_DIAG["relu_margin"],
+                                   float(np.abs(z).min()))
+    hid = np.maximum(z, 0.0)
+    out = Tensor(hid @ w2.data + _bias(b2, hid), (x, w1, b1, w2, b2))
+
+    def bw():
+        g = out.grad
+        _give(b2, _unbroadcast(g, b2.data.shape))
+        _give(w2, _unbroadcast(_t(hid) @ g, w2.data.shape))
+        dz = _unbroadcast(g @ _t(w2.data), hid.shape) * (z > 0)
+        _give(b1, _unbroadcast(dz, b1.data.shape))
+        _give(w1, _unbroadcast(_t(x.data) @ dz, w1.data.shape))
+        _give(x, _unbroadcast(dz @ _t(w1.data), x.data.shape))
+
+    _register(out, bw)
+    return out
+
+
+def switches(article, entities=None, has=None):
+    """The pointer's two copy switches [... x R x 2]: p_gen and q_gen.
+    article and entities (None: no entity source; q_gen is then 0) are each
+    (features, w, b), whose switch is sigmoid([features] w + b) along the
+    last axis. has [... x 1 x 1], if given, multiplies q_gen."""
+    fp, wp, bp = article
+    cat_p = np.concatenate([t.data for t in fp], axis=-1)
+    p_gen = _sigmoid(cat_p @ wp.data + _bias(bp, cat_p))
+    if entities is None:
+        out = Tensor(np.concatenate([p_gen, np.zeros_like(p_gen)], axis=-1),
+                     (*fp, wp, bp))
+    else:
+        fq, wq, bq = entities
+        cat_q = np.concatenate([t.data for t in fq], axis=-1)
+        q_sig = _sigmoid(cat_q @ wq.data + _bias(bq, cat_q))
+        q_gen = q_sig if has is None else q_sig * has
+        out = Tensor(np.concatenate([p_gen, q_gen], axis=-1),
+                     (*fp, *fq, wp, bp, wq, bq))
+
+    def bw():
+        sides = [(out.grad[..., :1], p_gen, cat_p, *article)]
+        if entities is not None:
+            gq = out.grad[..., 1:]
+            sides.append((gq if has is None else gq * has, q_sig, cat_q,
+                          *entities))
+        for g, y, cat, feats, w, b in sides:
+            dz = g * y * (1.0 - y)
+            _give(b, _unbroadcast(dz, b.data.shape))
+            _give(w, _unbroadcast(_t(cat) @ dz, w.data.shape))
+            dcat = _unbroadcast(dz @ _t(w.data), cat.shape)
+            start = 0
+            for f in feats:
+                size = f.data.shape[-1]
+                _give(f, dcat[..., start:start + size])
+                start += size
+
+    _register(out, bw)
+    return out
+
+
+def copy_mix(p_s, sw, article, entities=None):
+    """The dual pointer's mixture of the vocabulary distribution p_s
+    [... x R x V] with copy distributions, weighted by the switches sw
+    [... x R x 2] (p_gen, q_gen) of switches().
+
+    article and entities (None: no entity source) are each (att, ids): the
+    attention att [... x R x L] over copy positions, which adds into the
+    vocabulary at the ids [... x L] of those positions, one id list per
+    leading index, shared by its R rows. The weights (p_gen, q_gen,
+    1 - p_gen - q_gen) can leave the simplex, since the switches are
+    independent: the last is clamped at zero and the triple renormalised.
+    """
+    p_gen, q_gen = sw.data[..., :1], sw.data[..., 1:]
+    t = np.asarray(1.0, dtype=p_gen.dtype) - p_gen - q_gen
+    if _DIAG is not None and t.size:
+        _DIAG["relu_margin"] = min(_DIAG["relu_margin"],
+                                   float(np.abs(t).min()))
+    w_s = np.maximum(t, 0.0)
+    denom = p_gen + q_gen + w_s
+    n = p_s.data.shape[-1]
+
+    def scatter(att, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise IndexError(f"copy id out of range for a vocabulary of {n}")
+        lead = att.data.shape[:-1]
+        index = tuple(np.arange(k).reshape((k,) + (1,) * (len(lead) - i))
+                      for i, k in enumerate(lead)) + (ids[..., None, :],)
+        data = np.zeros(lead + (n,), dtype=att.data.dtype)
+        np.add.at(data, index, att.data)
+        return data, index
+
+    a_v, ids = article
+    copy_v, index_v = scatter(a_v, ids)
+    d_p = p_gen / denom
+    d_w = w_s / denom
+    mixed = d_p * copy_v + d_w * p_s.data
+    if entities is None:
+        # listed so that the tape's depth-first walk meets them in the order
+        # the composed ops' walk did: shared inputs then sum their
+        # gradients in the same order
+        parents = (a_v, sw, p_s)
+    else:
+        a_e, ids = entities
+        copy_e, index_e = scatter(a_e, ids)
+        d_q = q_gen / denom
+        mixed = mixed + d_q * copy_e
+        parents = (a_v, p_s, sw, a_e)
+    out = Tensor(mixed, parents)
+
+    def bw():
+        g = out.grad
+        dd_p = _unbroadcast(g * copy_v, d_p.shape)
+        _give(a_v, g[index_v] * d_p)
+        gp = dd_p / denom
+        gden = -dd_p * p_gen / (denom * denom)
+        dd_w = _unbroadcast(g * p_s.data, d_w.shape)
+        _give(p_s, _unbroadcast(g * d_w, p_s.data.shape))
+        gw = dd_w / denom
+        gden = gden + -dd_w * w_s / (denom * denom)
+        gsw = np.zeros(sw.data.shape, dtype=gp.dtype)
+        if entities is not None:
+            dd_q = _unbroadcast(g * copy_e, d_q.shape)
+            _give(a_e, g[index_e] * d_q)
+            gq = dd_q / denom
+            gden = gden + -dd_q * q_gen / (denom * denom)
+        gw = gw + gden
+        gp = gp + gden
+        gt = gw * (t > 0)
+        gsw[..., :1] = gp + -gt
+        if entities is not None:
+            gsw[..., 1:] = gq + gden + -gt
+        _give(sw, gsw)
 
     _register(out, bw)
     return out

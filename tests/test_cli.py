@@ -137,6 +137,30 @@ def test_preprocess_none_survive_encoding_exit_2(tmp_path, raw20):
     assert not (out / "processed.jsonl").exists()
 
 
+def test_preprocess_encode_error_sample_adds_nothing_to_vocab(tmp_path,
+                                                              raw20):
+    # overlapping caption mentions: the sample cannot be encoded, so its
+    # words must not be counted, and every other id stays where it was
+    bad = copy.deepcopy(raw20[0])
+    bad["id"] = "bad"
+    bad["caption"] = "Zorblax met Zorblax near Zorblax at dawn today"
+    bad["entities"]["caption"] = [
+        {"text": "Zorblax met", "type": "PERSON", "start": 0, "end": 2},
+        {"text": "met", "type": "PERSON", "start": 1, "end": 2}]
+    outs = []
+    for name, lines in (("with", raw20 + [bad]), ("without", raw20)):
+        raw = tmp_path / f"{name}.jsonl"
+        raw.write_text("".join(json.dumps(r) + "\n" for r in lines))
+        outs.append(tmp_path / name)
+        assert run(["preprocess", "--raw", str(raw), "--out",
+                    str(outs[-1])]) == 0
+    report = json.loads((outs[0] / "preprocess_report.json").read_text())
+    assert report["rejections"]["encode_error"] == 1
+    assert "Zorblax" not in json.loads((outs[0] / "vocab.json").read_text())
+    for name in ("vocab.json", "processed.jsonl"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_preprocess_report_counts_rejections(tmp_path):
     raw = tmp_path / "raw.jsonl"
     good = {"id": "g", "article": "Something happened in town today .",
@@ -510,6 +534,51 @@ def test_evaluate_missing_field_exit_2(tmp_path, train_dir, prep_dir,
     err = capsys.readouterr().err
     assert "line 2" in err and "'caption_ids'" in err
     assert not (tmp_path / "eval" / "report.json").exists()
+
+
+def _misfit_prep(prep_dir, tmp_path, case):
+    """A copy of the processed corpus whose first sample with article and
+    caption mentions no longer fits its text; returns it and that line's
+    number."""
+    lines = (prep_dir / "processed.jsonl").read_text().splitlines()
+    n, d = next((n, d) for n, d in enumerate(map(json.loads, lines))
+                if d["entities"] and d["caption_entities"])
+    if case == "article-mention":
+        d["entities"][0].update(start=9999, end=10000)
+    elif case == "negative-start":
+        d["entities"][0]["start"] = -1
+    elif case == "caption-mention":
+        d["caption_entities"][0].update(start=len(d["caption_tokens"]),
+                                        end=len(d["caption_tokens"]) + 1)
+    else:
+        d["article_ids"] = d["article_ids"][:-1]
+    lines[n] = json.dumps(d)
+    prep = tmp_path / "prep"
+    prep.mkdir()
+    shutil.copy(prep_dir / "vocab.json", prep)
+    (prep / "processed.jsonl").write_text("\n".join(lines) + "\n")
+    return prep, n + 1
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("case, named", [
+    ("article-mention", "article mention"),
+    ("caption-mention", "caption mention"),
+    ("ids-length", "article ids for"),
+    ("negative-start", "invalid span"),
+])
+def test_processed_sample_not_fitting_its_text_exit_2(
+        tmp_path, train_dir, prep_dir, synth_dir, capsys, command, case,
+        named):
+    prep, line = _misfit_prep(prep_dir, tmp_path, case)
+    if command == "train":
+        rc, _ = _train_with(tmp_path, prep, synth_dir)
+    else:
+        rc = _evaluate_with(tmp_path, train_dir, prep, synth_dir)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert f"line {line}" in err and named in err
 
 
 def test_vocab_ids_times_ten_exit_2(tmp_path, train_dir, prep_dir, synth_dir,

@@ -80,7 +80,8 @@ def test_masked_self_aoa_single_position_equals_unmasked(seed=0):
     params = init_params(tiny_cfg(), seed=seed)
     x = T.Tensor(np.random.default_rng(1).normal(size=(1, 8)))
     masked, _ = D.masked_self_aoa(params, "dec/l0/self", x, 2,
-                                  one_sequence(1))
+                                  D.causal_mask(one_sequence(1),
+                                                one_sequence(1)))
     unmasked, _ = aoa(params, "dec/l0/self", x,
                       project_kv(params, "dec/l0/self", x, 2), heads=2)
     assert np.array_equal(masked.data, unmasked.data)
@@ -92,10 +93,11 @@ def test_masked_self_aoa_causality():
     x1 = rng.normal(size=(4, 8))
     x2 = x1.copy()
     x2[3] += 1.0  # perturb the last position only
+    mask = D.causal_mask(one_sequence(4), one_sequence(4))
     a = D.masked_self_aoa(params, "dec/l0/self", T.Tensor(x1), 2,
-                          one_sequence(4))[0].data
+                          mask)[0].data
     b = D.masked_self_aoa(params, "dec/l0/self", T.Tensor(x2), 2,
-                          one_sequence(4))[0].data
+                          mask)[0].data
     assert np.array_equal(a[:3], b[:3])  # bit-identical
     assert not np.allclose(a[3], b[3])
 
@@ -110,11 +112,11 @@ def test_multimodal_single_article_row_attention_is_one():
     xa = T.Tensor(rng.normal(size=(2, 8)))
     vproj = T.Tensor(rng.normal(size=(3, 8)))
     art = T.Tensor(rng.normal(size=(1, 8)))
-    _, _, _, a_att, e_att = D.multimodal_aoa(
+    _, _, _, a_w, e_w = D.multimodal_aoa(
         params, "dec/l0", xa, project_kv(params, "dec/l0/img", vproj, 2),
-        project_kv(params, "dec/l0/art", art, 2), None, heads=2)
-    assert np.allclose(a_att.averaged_weights().data, 1.0)
-    assert e_att is None
+        project_kv(params, "dec/l0/art", art, 2), None, heads=2, average=True)
+    assert np.allclose(a_w.data, 1.0)
+    assert e_w is None
 
 
 def test_multimodal_empty_entities_zero_context():
@@ -123,12 +125,11 @@ def test_multimodal_empty_entities_zero_context():
     xa = T.Tensor(rng.normal(size=(2, 8)))
     vproj = T.Tensor(rng.normal(size=(3, 8)))
     art = T.Tensor(rng.normal(size=(4, 8)))
-    _, _, e_ctx, a_att, _ = D.multimodal_aoa(
+    _, _, e_ctx, a_w, _ = D.multimodal_aoa(
         params, "dec/l0", xa, project_kv(params, "dec/l0/img", vproj, 2),
-        project_kv(params, "dec/l0/art", art, 2), None, heads=2)
+        project_kv(params, "dec/l0/art", art, 2), None, heads=2, average=True)
     assert np.array_equal(e_ctx.data, np.zeros((2, 8)))
-    assert np.allclose(a_att.averaged_weights().data.sum(axis=1), 1.0,
-                       atol=1e-6)
+    assert np.allclose(a_w.data.sum(axis=1), 1.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -127,10 +127,11 @@ def test_embed_positions_longer_table_is_bit_identical(params, ids, lengths):
 def test_mh_attention_single_key(params):
     q = T.Tensor(np.random.default_rng(0).normal(size=(2, 8)))
     kv = T.Tensor(np.random.default_rng(1).normal(size=(1, 8)))
-    res = E.mh_attention(params, "enc/l0/self", q,
-                         E.project_kv(params, "enc/l0/self", kv, 2), heads=2)
-    assert res.weights.shape == (2, 2, 1)
-    assert np.allclose(res.weights.data, 1.0)
+    _, w = E.mh_attention(params, "enc/l0/self", q,
+                          E.project_kv(params, "enc/l0/self", kv, 2), heads=2,
+                          average=True)
+    assert w.shape == (2, 1)
+    assert np.allclose(w.data, 1.0)
 
 
 def test_mh_attention_identical_keys_uniform(params):
@@ -140,18 +141,20 @@ def test_mh_attention_identical_keys_uniform(params):
     v = T.Tensor(rng.normal(size=(4, 8)))
     keys, _ = E.project_kv(params, "enc/l0/self", k, 2)
     _, values = E.project_kv(params, "enc/l0/self", v, 2)
-    res = E.mh_attention(params, "enc/l0/self", q, (keys, values), heads=2)
-    assert np.allclose(res.weights.data, 0.25)
+    _, w = E.mh_attention(params, "enc/l0/self", q, (keys, values), heads=2,
+                          average=True)
+    assert np.allclose(w.data, 0.25)
 
 
 def test_mh_attention_rows_sum_to_one(params):
     rng = np.random.default_rng(3)
     q = T.Tensor(rng.normal(size=(3, 8)))
     kv = T.Tensor(rng.normal(size=(4, 8)))
-    res = E.mh_attention(params, "enc/l0/self", q,
-                         E.project_kv(params, "enc/l0/self", kv, 2), heads=2)
-    assert np.allclose(res.weights.data.sum(axis=-1), 1.0, atol=1e-6)
-    assert (res.weights.data >= 0).all()
+    _, w = E.mh_attention(params, "enc/l0/self", q,
+                          E.project_kv(params, "enc/l0/self", kv, 2), heads=2,
+                          average=True)
+    assert np.allclose(w.data.sum(axis=-1), 1.0, atol=1e-6)
+    assert (w.data >= 0).all()
 
 
 def test_mh_attention_fully_masked_row_errors(params):
@@ -224,9 +227,10 @@ def test_aoa_projector_recovers_attended_vector(params):
     rng = np.random.default_rng(6)
     q = T.Tensor(rng.normal(size=(3, 8)))
     kv = T.Tensor(rng.normal(size=(4, 8)))
-    out, att = E.aoa(params, "enc/l0/self", q,
-                     E.project_kv(params, "enc/l0/self", kv, 2), heads=2)
-    assert np.allclose(out.data, att.out.data, atol=1e-12)
+    kv = E.project_kv(params, "enc/l0/self", kv, 2)
+    out, _ = E.aoa(params, "enc/l0/self", q, kv, heads=2)
+    att = E.mh_attention(params, "enc/l0/self", q, kv, heads=2)
+    assert np.allclose(out.data, att.data, atol=1e-12)
 
 
 @pytest.mark.parametrize("heads", [2, 4])
@@ -259,12 +263,23 @@ def test_aoa_finite_differences(params):
     assert report.passed, (report.worst_param, report.max_rel_err)
 
 
-def test_averaged_weights():
-    w = T.Tensor(np.array([[[1.0, 0.0]], [[0.0, 1.0]]]))
-    res = E.AttentionResult(out=None, weights=w)
-    avg = res.averaged_weights()
-    assert avg.shape == (1, 2)
-    assert np.allclose(avg.data, [[0.5, 0.5]])
+def test_mh_attention_averaged_weights(params):
+    # the mean over heads of each head's softmax, as a straight-line oracle
+    rng = np.random.default_rng(8)
+    q, k = rng.normal(size=(3, 8)), rng.normal(size=(4, 8))
+    mask = np.tril(np.ones((3, 4), dtype=bool))
+    _, w = E.mh_attention(params, "enc/l0/self", T.Tensor(q),
+                          E.project_kv(params, "enc/l0/self", T.Tensor(k), 2),
+                          heads=2, mask=mask, average=True)
+    qp = q @ params["enc/l0/self/wq"].data
+    kp = k @ params["enc/l0/self/wk"].data
+    heads = []
+    for i in range(2):
+        s = qp[:, 4 * i:4 * i + 4] @ kp[:, 4 * i:4 * i + 4].T / 2.0
+        e = np.exp(np.where(mask, s, -np.inf) - s.max(axis=1, keepdims=True))
+        heads.append(e / e.sum(axis=1, keepdims=True))
+    assert w.shape == (3, 4)
+    assert np.allclose(w.data, (heads[0] + heads[1]) / 2, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +419,13 @@ def test_encode_entities_mean_pool(params):
 
 
 def _pooled_by_loop(enc, sizes):
-    """Per-mention mean of the encoded rows: slice, pool, concatenate."""
+    """Per-mention mean of the encoded rows: slice, sum, divide,
+    concatenate."""
     rows, offset = [], 0
     for k in sizes:
-        rows.append(T.avg_pool_rows(T.take(enc, np.s_[offset:offset + k])))
+        part = T.take(enc, np.s_[offset:offset + k])
+        rows.append(T.scatter_add(part, np.zeros(k, dtype=np.int64),
+                                  (1, enc.shape[-1])) / float(k))
         offset += k
     return T.concat(rows, axis=0)
 

@@ -198,23 +198,6 @@ def test_take_scatter_add_adjoint(data):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(x).sum() * np.abs(y).sum())
 
 
-def test_avg_pool_rows():
-    assert np.array_equal(T.avg_pool_rows(t64([[2.0, 4.0]])).data, [[2.0, 4.0]])
-    assert np.array_equal(
-        T.avg_pool_rows(t64([[1.0, 1.0], [3.0, 3.0]])).data, [[2.0, 2.0]])
-    with pytest.raises(ValueError):
-        T.avg_pool_rows(t64(np.zeros((0, 2))))
-
-
-def test_avg_pool_rows_matches_column_mean_oracle():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(5, 4))
-    out = T.avg_pool_rows(t64(x)).data[0]
-    for j in range(4):
-        col = sum(x[i, j] for i in range(5)) / 5.0
-        assert abs(out[j] - col) < 1e-7
-
-
 def test_dropout_identity_cases():
     x = t64(np.ones((3, 3)))
     rng = np.random.default_rng(0)
@@ -352,7 +335,9 @@ def test_unreachable_param_gets_zero_grad():
     lambda p: T.sum_all(T.take(p["w"], np.s_[:, 1:3])
                         / (T.take(p["u"], np.s_[:, 1:3])
                            * T.take(p["g"], np.s_[:, 0:2]) + 2.0)),
-    lambda p: T.sum_all(T.avg_pool_rows(p["w"]) * T.take(p["u"], np.s_[0:1])),
+    # concat with a plain array among its parts
+    lambda p: T.sum_all(T.tanh(T.concat([p["w"], np.ones((1, 4)), p["u"]]))
+                        * T.concat([p["u"], p["g"], p["w"]])),
     lambda p: -T.sum_all(T.log_clamped(T.softmax(p["w"], axis=1))),
     # take: repeated row ids, and (row, col) pairs with a repeat
     lambda p: T.sum_all(T.tanh(T.take(p["w"], [1, 0, 1])) * p["g"]),
