@@ -460,12 +460,12 @@ def sample_mentions(s, tokens):
             extract_entities(caption_tokens, s.caption_entities))
 
 
-def encode_sample(s, vocab, tokens, mentions=None):
-    """Encode a raw sample from its sample_tokens(s) and sample_mentions
-    (found here when not given): substitute OOV caption entities by tags,
-    and wrap the caption in BOS/EOS."""
+def encode_sample(s, vocab, tokens, mentions):
+    """Encode a raw sample from its sample_tokens(s) and sample_mentions:
+    substitute OOV caption entities by tags, and wrap the caption in
+    BOS/EOS."""
     article_tokens, caption_tokens = tokens
-    art_mentions, cap_mentions = mentions or sample_mentions(s, tokens)
+    art_mentions, cap_mentions = mentions
     substituted = replace_oov_entities(caption_tokens, cap_mentions, vocab)
     caption_ids = [vocab.bos_id] + vocab.encode(substituted) + [vocab.eos_id]
 

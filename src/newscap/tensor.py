@@ -4,13 +4,12 @@ Deliberately minimal: 2-D matrices (plus scalars) cover nearly everything
 the captioning model needs; matmul, transpose and reshape also take stacked
 matrices, so attention runs its heads along a leading axis. Every index
 operation is one of a single adjoint pair: take gathers (slices, embedding
-rows, per-row targets) and scatter_add adds back (the copy distributions,
-per-mention sums). The position LSTM is one op, lstm, with hand-written
-backpropagation through time, and so is each of the model's repeated blocks:
-attention, aoa_gate, feed_forward, and the pointer's switches and copy_mix. Ops
-record backward closures onto the tensors they produce; backward() runs the
-chain rule over a topological sort. An op computes no gradient for a
-Constant operand.
+rows, per-row targets) and scatter_add adds back (per-mention sums). The
+position LSTM is one op, lstm, with hand-written backpropagation through
+time, and so is each of the model's repeated blocks: attention, aoa_gate,
+feed_forward, and the pointer's switches and copy_mix. Ops record backward
+closures onto the tensors they produce; backward() runs the chain rule over
+a topological sort. An op computes no gradient for a Constant operand.
 """
 
 from __future__ import annotations
@@ -576,8 +575,7 @@ def attention(q, wq, keys, values, wo, heads, mask=None, average=False):
 
     mask, a boolean array that broadcasts to [... x Lq x Lk], hides its
     False entries by a -1e9 penalty. With average, also returns the weights
-    averaged over the heads [... x Lq x Lk] as a tensor; this op's backward
-    takes in its gradient.
+    averaged over the heads [... x Lq x Lk] as a tensor of its own.
     """
     shape = q.data.shape
     if shape[-1] % heads:
@@ -594,43 +592,48 @@ def attention(q, wq, keys, values, wo, heads, mask=None, average=False):
     e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
     p = e / np.add.reduce(e, axis=-1, keepdims=True)
     c = p @ values.data
+    y_shape, c_shape = y.shape, tuple(c.shape[i] for i in perm)
     ctx = c.transpose(perm).reshape(shape)
-    out = Tensor(ctx @ wo.data, (q, wq, keys, values, wo))
-    from_avg = []     # the averaged weights' gradient, as one of p
+    if average:
+        # two readers, the output and the head mean, sum their gradients
+        # into the weights before one pass back through the softmax
+        weights = Tensor(p, (q, wq, keys))
+        out = Tensor(ctx @ wo.data, (weights, values, wo))
+    else:
+        out = Tensor(ctx @ wo.data, (q, wq, keys, values, wo))
 
-    def bw():
-        gp = from_avg.pop() if from_avg else None
-        g = out.grad
-        if g is not None:
-            _give(wo, _unbroadcast(_t(ctx) @ g, wo.data.shape))
-            dctx = _unbroadcast(g @ _t(wo.data), shape)
-            dc = np.ascontiguousarray(
-                dctx.reshape(tuple(c.shape[i] for i in perm)).transpose(perm))
-            _give(values, _unbroadcast(_t(p) @ dc, values.data.shape))
-            dp = _unbroadcast(dc @ _t(values.data), p.shape)
-            gp = dp if gp is None else gp + dp
-        if gp is None:
-            return
+    def through_softmax(gp):
+        """Carry a gradient of the weights p to the query, wq and keys."""
         ds = p * (gp - np.add.reduce(gp * p, axis=-1, keepdims=True)) * scale
         _give(keys, _unbroadcast(_t(qh) @ ds, keys.data.shape))
         dy = np.ascontiguousarray(_unbroadcast(
-            ds @ _t(keys.data), qh.shape).transpose(perm)).reshape(y.shape)
+            ds @ _t(keys.data), qh.shape).transpose(perm)).reshape(y_shape)
         _give(q, _unbroadcast(dy @ _t(wq.data), shape))
         _give(wq, _unbroadcast(_t(q.data) @ dy, wq.data.shape))
+
+    def bw():
+        g = out.grad
+        _give(wo, _unbroadcast(_t(ctx) @ g, wo.data.shape))
+        dctx = _unbroadcast(g @ _t(wo.data), shape)
+        dc = np.ascontiguousarray(dctx.reshape(c_shape).transpose(perm))
+        _give(values, _unbroadcast(_t(p) @ dc, values.data.shape))
+        dp = _unbroadcast(dc @ _t(values.data), p.shape)
+        if average:
+            weights._accum(dp)
+        else:
+            through_softmax(dp)
 
     _register(out, bw)
     if not average:
         return out
+    _register(weights, lambda: through_softmax(weights.grad))
     n = p.shape[-3]
     pooled = np.add.reduce(p, axis=-3, keepdims=True) / n
-    # the weights depend on the query and the keys; listing those after the
-    # output makes the tape's depth-first walk meet them in the order that
-    # the composed ops' walk did
-    avg = Tensor(pooled.reshape(p.shape[:-3] + p.shape[-2:]), (out, q, keys))
+    avg = Tensor(pooled.reshape(p.shape[:-3] + p.shape[-2:]), (weights,))
 
     def bw_avg():
-        from_avg.append(np.repeat(avg.grad.reshape(pooled.shape), n,
-                                  axis=-3) / n)
+        weights._accum(np.repeat(avg.grad.reshape(pooled.shape), n,
+                                 axis=-3) / n)
 
     _register(avg, bw_avg)
     return out, avg

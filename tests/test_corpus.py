@@ -330,7 +330,8 @@ def _vocab_for(sample):
 
 
 def _encode(s, vocab):
-    return C.encode_sample(s, vocab, C.sample_tokens(s))
+    tokens = C.sample_tokens(s)
+    return C.encode_sample(s, vocab, tokens, C.sample_mentions(s, tokens))
 
 
 def test_encode_sample_truncates_article():
