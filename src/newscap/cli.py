@@ -269,20 +269,22 @@ def cmd_train(args):
                 cfg.model.feat_dim)
     log_path = os.path.join(out, "train_log.jsonl")
     ckpt_path = os.path.join(out, "checkpoint.bin")
-    with open(log_path, "w", encoding="utf-8") as log_fh:
-        best = runtime.train(cfg, train_samples, val_samples, vocab, store,
-                             log_fh=log_fh)
-    runtime.save_checkpoint(best, ckpt_path)
+    # training writes each new best to a staging file; only a run that
+    # finishes turns it into checkpoint.bin
+    staged = ckpt_path + ".staged"
+    with runtime.removed_on_failure(staged):
+        with open(log_path, "w", encoding="utf-8") as log_fh:
+            epoch, val = runtime.train(cfg, train_samples, val_samples, vocab,
+                                       store, staged, log_fh=log_fh)
+        os.replace(staged, ckpt_path)
     # best_val_cider is null when no validation ran
     _write_manifest(out, "train", cfg.to_dict(),
                     [args.processed, args.val, args.vocab],
-                    checkpoint={"epoch": best.epoch,
-                                "best_val_cider": best.best_val_cider})
-    if best.best_val_cider is None:
-        print(f"no validation ran; kept epoch {best.epoch}; wrote {ckpt_path}")
+                    checkpoint={"epoch": epoch, "best_val_cider": val})
+    if val is None:
+        print(f"no validation ran; kept epoch {epoch}; wrote {ckpt_path}")
     else:
-        print(f"best val CIDEr {best.best_val_cider:.4f} at epoch "
-              f"{best.epoch}; wrote {ckpt_path}")
+        print(f"best val CIDEr {val:.4f} at epoch {epoch}; wrote {ckpt_path}")
     return 0
 
 

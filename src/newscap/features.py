@@ -4,11 +4,17 @@ for tests and the desk-scale corpus."""
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import json
 import os
 
 import numpy as np
+
+# Bytes of grids a FeatureStore keeps: 83 paper-sized grids (49 x 2048
+# float32, 401 KB each), where a sample's forward and backward cost some 70
+# times a grid's reload.
+CACHE_BYTES = 32 << 20
 
 
 class FeatureError(Exception):
@@ -78,19 +84,29 @@ def synthetic_features(k, d, seed):
 
 
 class FeatureStore:
-    """Caches feature grids by path, resolving relative refs against a root."""
+    """Caches feature grids by ref, resolving relative refs against a root.
+    It holds at most CACHE_BYTES of grids and evicts the least recently used
+    first."""
 
     def __init__(self, root=""):
         self.root = root
-        self._cache = {}
+        self._cache = collections.OrderedDict()
+        self.cached_bytes = 0
 
     def _path(self, ref):
         return ref if os.path.isabs(ref) else os.path.join(self.root, ref)
 
     def get(self, ref):
-        if ref not in self._cache:
-            self._cache[ref] = load_features(self._path(ref))
-        return self._cache[ref]
+        grid = self._cache.get(ref)
+        if grid is not None:
+            self._cache.move_to_end(ref)
+            return grid
+        grid = self._cache[ref] = load_features(self._path(ref))
+        self.cached_bytes += grid.nbytes
+        while self.cached_bytes > CACHE_BYTES:
+            _, old = self._cache.popitem(last=False)
+            self.cached_bytes -= old.nbytes
+        return grid
 
     def check(self, refs, feat_dim):
         """Reject, before any work, a ref whose sidecar is missing or

@@ -3,7 +3,7 @@ evaluation driver."""
 
 from __future__ import annotations
 
-import copy
+import contextlib
 import hashlib
 import json
 import math
@@ -88,22 +88,25 @@ def vocab_hash(vocab):
 
 
 def checkpoint_from_model(model, **kw):
+    """A checkpoint of the model's live arrays, not copies of them: it holds
+    the model's weights until they next change."""
     return Checkpoint(
         config=model.cfg,
-        params={k: p.data.copy() for k, p in model.params.items()},
+        params={k: p.data for k, p in model.params.items()},
         vocab_hash=vocab_hash(model.vocab),
         **kw,
     )
 
 
 def model_from_checkpoint(ckpt, vocab):
+    """A model over the checkpoint's own arrays, not copies of them."""
     if ckpt.vocab_hash != vocab_hash(vocab):
         raise ValueError("checkpoint vocabulary hash does not match vocabulary")
     try:
         check_params(ckpt.config, {k: v.shape for k, v in ckpt.params.items()})
     except ValueError as e:
         raise ValueError(f"checkpoint does not fit its config: {e}") from None
-    params = {k: T.Tensor(v.copy()) for k, v in ckpt.params.items()}
+    params = {k: T.Tensor(v) for k, v in ckpt.params.items()}
     return CaptionModel(ckpt.config, vocab, params=params)
 
 
@@ -119,10 +122,22 @@ def _bytes(arr):
     return arr.reshape(-1).view(np.uint8)
 
 
+@contextlib.contextmanager
+def removed_on_failure(path):
+    """Remove the file at path, if there is one, when the block raises."""
+    try:
+        yield
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
+
+
 def save_checkpoint(ckpt, path):
     """Versioned container: magic, header JSON, concatenated raw blobs.
     Each array is hashed and then written as it is, with no copy of the
-    blob. Written atomically (temp file + rename)."""
+    blob. Written atomically (temp file + rename); a failed write leaves
+    neither the temp file nor a new file at path."""
     names = sorted(ckpt.params)
     dtype = str(ckpt.params[names[0]].dtype) if names else "float32"
     buckets = [ckpt.params]
@@ -151,14 +166,15 @@ def save_checkpoint(ckpt, path):
     }
     hdr = json.dumps(header, sort_keys=True).encode()
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(struct.pack("<I", len(hdr)))
-        fh.write(hdr)
-        for arr in _blob_arrays(names, buckets, ckpt.params):
-            fh.write(_bytes(arr))
-    os.replace(tmp, path)
+    with removed_on_failure(tmp):
+        with open(tmp, "wb") as fh:
+            fh.write(CKPT_MAGIC)
+            fh.write(struct.pack("<I", CKPT_VERSION))
+            fh.write(struct.pack("<I", len(hdr)))
+            fh.write(hdr)
+            for arr in _blob_arrays(names, buckets, ckpt.params):
+                fh.write(_bytes(arr))
+        os.replace(tmp, path)
 
 
 def _checked_header(raw, hdr_len):
@@ -415,25 +431,32 @@ def micro_batches(samples, cfg):
     return runs + [run] if run else runs
 
 
-def train(cfg, train_samples, val_samples, vocab, feature_store,
+def train(cfg, train_samples, val_samples, vocab, feature_store, ckpt_path,
           log_fh=None, log_cb=None):
-    """Mini-batch teacher-forced training with Adam and warmup; keeps the
-    checkpoint with the best validation CIDEr (greedy decode) and stops after
+    """Mini-batch teacher-forced training with Adam and warmup; stops after
     `patience` non-improving evaluations. Each batch runs as micro-batches
-    (micro_batches), each one padded forward and one backward."""
+    (micro_batches), each one padded forward and one backward.
+
+    Each new best validation CIDEr (greedy decode) is written to ckpt_path
+    when validation finds it, straight from the live parameter and Adam
+    arrays, so no second copy of the model is held. A run that reaches
+    `target_loss` writes its final weights; one that never validates writes
+    its last. Returns (epoch, val CIDEr) of the checkpoint last written; the
+    CIDEr is None when that epoch ran no validation."""
     if not train_samples or not val_samples:
         raise ValueError("train and validation sets must be nonempty")
     model = CaptionModel(cfg.model, vocab, seed=cfg.seed)
     adam = T.AdamState(base_lr=cfg.base_lr, warmup=cfg.warmup)
     rng = np.random.default_rng(cfg.seed)
 
-    def snapshot(epoch, val):
-        return checkpoint_from_model(
+    def write(epoch, val):
+        save_checkpoint(checkpoint_from_model(
             model, step=step, epoch=epoch, seed=cfg.seed,
-            rng_state=rng.bit_generator.state, adam=copy.deepcopy(adam),
-            train_config=cfg.to_dict(), best_val_cider=val)
+            rng_state=rng.bit_generator.state, adam=adam,
+            train_config=cfg.to_dict(), best_val_cider=val), ckpt_path)
+        return epoch, val
 
-    best = None
+    written = None
     best_cider = -1.0
     bad_evals = 0
     step = 0
@@ -443,7 +466,6 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
         epoch_tokens = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_samples[i] for i in order[start:start + cfg.batch_size]]
-            T.zero_grads(model.params)
             inv = 1.0 / len(batch)
             # the parameters stay fixed within a batch: one position table
             # for its longest sequence. Each micro-batch's tape reads it as
@@ -468,11 +490,12 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
                 epoch_tokens += sum(len(s.caption_ids) - 1 for s in micro)
                 T.backward(loss, np.full_like(loss.data, inv))
             T.backward(table, positions.grad)
-            # the gradients themselves: zero_grads drops them before the
-            # next batch, and adam_step does not write to them
+            # the gradients themselves: adam_step does not write to them,
+            # and they are dropped once it has used them
             T.adam_step(model.params, {
                 name: p.grad if p.grad is not None else np.zeros_like(p.data)
                 for name, p in model.params.items()}, adam)
+            T.zero_grads(model.params)
             step += 1
         per_token = epoch_loss / max(epoch_tokens, 1)
 
@@ -483,7 +506,7 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
             if val > best_cider:
                 best_cider = val
                 bad_evals = 0
-                best = snapshot(epoch, val)
+                written = write(epoch, val)
             else:
                 bad_evals += 1
 
@@ -497,9 +520,10 @@ def train(cfg, train_samples, val_samples, vocab, feature_store,
             break
         if cfg.target_loss is not None and per_token < cfg.target_loss:
             # overfit use-case: the final (memorized) weights are the product
-            best = snapshot(epoch, val)
+            if written != (epoch, val):
+                written = write(epoch, val)
             break
-    return best if best is not None else snapshot(cfg.max_epochs, None)
+    return written if written is not None else write(cfg.max_epochs, None)
 
 
 # ---------------------------------------------------------------------------

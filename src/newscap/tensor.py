@@ -373,11 +373,11 @@ def layer_norm(x, gain, bias, eps=1e-5):
         _DIAG["ln_min_var"] = min(_DIAG["ln_min_var"], float(var.min()))
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = Tensor(gain.data * xhat + bias.data, (x, gain, bias))
+    out = Tensor(_bias(gain, xhat) * xhat + _bias(bias, xhat), (x, gain, bias))
 
     def bw():
         g = out.grad
-        dxhat = g * gain.data
+        dxhat = g * _bias(gain, g)
         m1 = _mean_last(dxhat)
         m2 = _mean_last(dxhat * xhat)
         x._accum((dxhat - m1 - xhat * m2) * inv)

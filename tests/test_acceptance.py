@@ -190,10 +190,12 @@ def test_acceptance_4_overfit(tmp_path):
                              dropout=0.0, patience=1000, max_epochs=500,
                              eval_every=25, target_loss=0.05, seed=0, model=mc)
     log = []
-    best = runtime.train(tc, samples, samples, vocab, store,
-                         log_cb=log.append)
+    ckpt_path = str(tmp_path / "checkpoint.bin")
+    runtime.train(tc, samples, samples, vocab, store, ckpt_path,
+                  log_cb=log.append)
     final_loss = log[-1]["loss"]
-    model = runtime.model_from_checkpoint(best, vocab)
+    model = runtime.model_from_checkpoint(runtime.load_checkpoint(ckpt_path),
+                                          vocab)
     exact = 0
     for s in samples:
         ctx = model.encode(s, store.get(s.feature_ref))
@@ -213,15 +215,16 @@ def test_acceptance_4_overfit(tmp_path):
 # 5. Ablation trend
 
 
-def _ablation_eval(train_s, held_s, vocab, store, seed, pointer):
+def _ablation_eval(train_s, held_s, vocab, store, seed, pointer, ckpt_path):
     mc = ModelConfig(vocab_size=len(vocab), hidden=32, heads=2, enc_layers=1,
                      dec_layers=1, k_patches=9, feat_dim=32, max_pos=128,
                      dropout=0.1, pointer=pointer)
     tc = runtime.TrainConfig(batch_size=8, base_lr=2e-3, warmup=50,
                              dropout=0.1, patience=1000, max_epochs=150,
                              eval_every=75, seed=seed, model=mc)
-    best = runtime.train(tc, train_s, train_s, vocab, store)
-    model = runtime.model_from_checkpoint(best, vocab)
+    runtime.train(tc, train_s, train_s, vocab, store, ckpt_path)
+    model = runtime.model_from_checkpoint(runtime.load_checkpoint(ckpt_path),
+                                          vocab)
     return runtime.evaluate(model, held_s, store)
 
 
@@ -246,10 +249,12 @@ def test_acceptance_5_ablation_trend(tmp_path):
               for r, t in zip(held_raw, tokens[len(train_raw):])]
     store = FeatureStore(str(out))
     full, no_tc, no_ptr = [], [], []
+    ckpt_path = str(tmp_path / "checkpoint.bin")
     for seed in (0, 1, 2):
-        rp = _ablation_eval(train_s, held_s, vocab, store, seed, pointer=True)
+        rp = _ablation_eval(train_s, held_s, vocab, store, seed, pointer=True,
+                            ckpt_path=ckpt_path)
         rnp = _ablation_eval(train_s, held_s, vocab, store, seed,
-                             pointer=False)
+                             pointer=False, ckpt_path=ckpt_path)
         full.append(rp["cider"])
         no_tc.append(rp["pre_tc"]["cider"])
         no_ptr.append(rnp["pre_tc"]["cider"])
@@ -482,21 +487,26 @@ def test_acceptance_8_determinism_and_roundtrip(tmp_path):
                              dropout=0.1, patience=100, max_epochs=3,
                              eval_every=1, seed=3, model=mc)
 
-    def run_once():
+    def run_once(name):
         log = []
-        ckpt = runtime.train(tc, samples, samples, vocab, store,
-                             log_cb=log.append)
+        path = tmp_path / name
+        runtime.train(tc, samples, samples, vocab, store, str(path),
+                      log_cb=log.append)
         digest = hashlib.sha256(
             "\n".join(json.dumps(r, sort_keys=True) for r in log)
             .encode()).hexdigest()
-        return ckpt, digest
+        return path, digest
 
-    ckpt, digest_a = run_once()
-    _, digest_b = run_once()
+    path, digest_a = run_once("a.bin")
+    path_b, digest_b = run_once("b.bin")
 
-    path = tmp_path / "ckpt.bin"
-    runtime.save_checkpoint(ckpt, str(path))
-    loaded = runtime.load_checkpoint(str(path))
+    ckpt = runtime.load_checkpoint(str(path))
+    copy_path = tmp_path / "copy.bin"
+    runtime.save_checkpoint(ckpt, str(copy_path))
+    loaded = runtime.load_checkpoint(str(copy_path))
+    # both runs and the re-save write the same bytes
+    same_file = path.read_bytes() == path_b.read_bytes() == \
+        copy_path.read_bytes()
     model_a = runtime.model_from_checkpoint(ckpt, vocab)
     model_b = runtime.model_from_checkpoint(loaded, vocab)
     s = samples[0]
@@ -513,10 +523,11 @@ def test_acceptance_8_determinism_and_roundtrip(tmp_path):
         np.array_equal(model_a.params[k].data, model_b.params[k].data)
         for k in model_a.params)
     elapsed = time.time() - t0
-    ok = (digest_a == digest_b and bit_identical and params_identical
-          and elapsed < 300.0)
+    ok = (digest_a == digest_b and same_file and bit_identical
+          and params_identical and elapsed < 300.0)
     _report(8, "determinism and checkpoint round-trip", ok,
-            f"log hash match {digest_a == digest_b}, forward bit-identical "
+            f"log hash match {digest_a == digest_b}, checkpoints equal "
+            f"{same_file}, forward bit-identical "
             f"{bit_identical}, {elapsed:.1f}s")
 
 

@@ -353,7 +353,8 @@ def test_stats_missing_field_exit_2(tmp_path, prep_dir, capsys):
 
 
 def test_train_outputs(train_dir):
-    assert (train_dir / "checkpoint.bin").exists()
+    assert sorted(os.listdir(train_dir)) == [
+        "checkpoint.bin", "config.json", "manifest.json", "train_log.jsonl"]
     log = (train_dir / "train_log.jsonl").read_text().splitlines()
     assert len(log) == 2
     manifest = json.loads((train_dir / "manifest.json").read_text())
@@ -775,6 +776,38 @@ def test_train_poisoned_sample_in_a_micro_batch_exit_3(
     assert "numeric failure" in err
     assert f"sample {target.id}" in err
     assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("poison, code", [("nan", 3), ("unreadable", 2)])
+def test_train_failing_after_a_validated_epoch_leaves_no_checkpoint(
+        tmp_path, prep_dir, synth_dir, capsys, monkeypatch, poison, code):
+    """Training writes each best checkpoint to a staging file when
+    validation finds it; a run that fails after that leaves no
+    checkpoint.bin, staging file or temp file."""
+    import numpy as np
+    from newscap.features import FeatureError, FeatureStore
+    staged = tmp_path / "t" / "checkpoint.bin.staged"
+    get = FeatureStore.get
+    poisoned_refs = []
+
+    def poisoned(self, ref):
+        grid = get(self, ref)
+        if not staged.exists():
+            return grid
+        poisoned_refs.append(ref)
+        if poison == "nan":
+            return np.full_like(grid, np.nan)
+        raise FeatureError(f"cannot read feature file {ref}")
+
+    monkeypatch.setattr(FeatureStore, "get", poisoned)
+    rc, out = _train_with(tmp_path, prep_dir, synth_dir, max_epochs=3)
+    assert rc == code
+    assert "internal error" not in capsys.readouterr().err
+    assert poisoned_refs
+    log = [json.loads(line)
+           for line in (out / "train_log.jsonl").read_text().splitlines()]
+    assert len(log) == 1 and log[0]["val_cider"] is not None
+    assert sorted(os.listdir(out)) == ["train_log.jsonl"]
 
 
 def test_train_max_pos_below_article_exit_2(tmp_path):

@@ -141,6 +141,37 @@ def test_checkpoint_bytes_equal_straight_line_writer(tmp_path, with_adam):
         assert fh.read() == _straight_line_checkpoint(ckpt)
 
 
+def test_failed_checkpoint_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    """A write that raises OSError part way removes the temp file and
+    leaves the file already at the path as it was."""
+    path = tmp_path / "m.bin"
+    path.write_bytes(b"old")
+
+    class Full:
+        def __init__(self, fh):
+            self.fh, self.left = fh, 3
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.left -= 1
+            if not self.left:
+                raise OSError(28, "No space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(R, "open", lambda p, mode: Full(open(p, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="No space"):
+        R.save_checkpoint(R.checkpoint_from_model(make_model(seed=3)),
+                          str(path))
+    assert os.listdir(tmp_path) == ["m.bin"]
+    assert path.read_bytes() == b"old"
+
+
 def test_checkpoint_truncated_blob_detected(tmp_path):
     path = str(tmp_path / "m.bin")
     R.save_checkpoint(R.checkpoint_from_model(make_model(seed=3)), path)
@@ -493,29 +524,36 @@ def _train_cfg(**kw):
 def test_train_runs_and_returns_best_checkpoint(tmp_path):
     samples, store = _training_setup(tmp_path)
     records = []
-    best = R.train(_train_cfg(), samples, samples, VOCAB, store,
-                   log_cb=records.append)
-    assert best.best_val_cider is not None
+    path = str(tmp_path / "m.bin")
+    epoch, val = R.train(_train_cfg(), samples, samples, VOCAB, store, path,
+                         log_cb=records.append)
+    assert val is not None
     assert len(records) == 3
     assert all(np.isfinite(r["loss"]) for r in records)
+    ckpt = R.load_checkpoint(path)
+    assert (ckpt.epoch, ckpt.best_val_cider) == (epoch, val)
+    assert val == max(r["val_cider"] for r in records)
 
 
 def test_train_determinism_identical_logs(tmp_path):
     samples, store = _training_setup(tmp_path)
-    logs = []
-    for _ in range(2):
+    logs, files = [], []
+    for run in range(2):
         records = []
-        R.train(_train_cfg(), samples, samples, VOCAB, store,
+        path = tmp_path / f"m{run}.bin"
+        R.train(_train_cfg(), samples, samples, VOCAB, store, str(path),
                 log_cb=records.append)
         logs.append(json.dumps(records, sort_keys=True))
+        files.append(path.read_bytes())
     assert logs[0] == logs[1]
+    assert files[0] == files[1]
 
 
 def test_train_patience_zero_stops_after_first_regression(tmp_path):
     samples, store = _training_setup(tmp_path)
     records = []
     R.train(_train_cfg(patience=0, max_epochs=50), samples, samples, VOCAB,
-            store, log_cb=records.append)
+            store, str(tmp_path / "m.bin"), log_cb=records.append)
     # must stop well before the epoch cap once CIDEr stops improving
     assert len(records) < 50
 
@@ -523,10 +561,87 @@ def test_train_patience_zero_stops_after_first_regression(tmp_path):
 def test_train_target_loss_stop(tmp_path):
     samples, store = _training_setup(tmp_path)
     records = []
-    best = R.train(_train_cfg(target_loss=100.0, max_epochs=50), samples,
-                   samples, VOCAB, store, log_cb=records.append)
+    epoch, _ = R.train(_train_cfg(target_loss=100.0, max_epochs=50), samples,
+                       samples, VOCAB, store, str(tmp_path / "m.bin"),
+                       log_cb=records.append)
     assert len(records) == 1  # any finite loss beats the silly target
-    assert best.epoch == 1
+    assert epoch == 1
+
+
+def test_train_writes_the_live_arrays(tmp_path, monkeypatch):
+    """Each write streams the model's own parameter arrays and the live Adam
+    moments, not copies; the file holds their values at that moment."""
+    samples, store = _training_setup(tmp_path)
+    models, states, writes = [], [], []
+    from_model, save, step = (R.checkpoint_from_model, R.save_checkpoint,
+                              T.adam_step)
+
+    def checkpoint_from_model(model, **kw):
+        models.append(model)
+        return from_model(model, **kw)
+
+    def adam_step(params, grads, state):
+        states.append(state)
+        step(params, grads, state)
+
+    def save_checkpoint(ckpt, path):
+        model = models[-1]
+        assert ckpt.adam is states[-1]
+        for name, p in model.params.items():
+            assert ckpt.params[name] is p.data
+            assert ckpt.adam.m[name] is states[-1].m[name]
+            assert ckpt.adam.v[name] is states[-1].v[name]
+        save(ckpt, path)
+        loaded = R.load_checkpoint(path)
+        for name, p in model.params.items():
+            assert np.array_equal(loaded.params[name], p.data)
+            assert np.array_equal(loaded.adam.m[name], states[-1].m[name])
+        writes.append(ckpt.epoch)
+
+    monkeypatch.setattr(R, "checkpoint_from_model", checkpoint_from_model)
+    monkeypatch.setattr(R, "save_checkpoint", save_checkpoint)
+    monkeypatch.setattr(T, "adam_step", adam_step)
+    records = []
+    R.train(_train_cfg(), samples, samples, VOCAB, store,
+            str(tmp_path / "m.bin"), log_cb=records.append)
+    improved, best = [], -1.0
+    for r in records:
+        if r["val_cider"] > best:
+            improved.append(r["epoch"])
+            best = r["val_cider"]
+    assert writes == improved
+
+
+def test_train_patience_keeps_the_best_epoch(tmp_path, monkeypatch):
+    """Under patience the file holds the best epoch's weights and Adam
+    step, as they were at the end of that epoch, not the last epoch's."""
+    samples, store = _training_setup(tmp_path)
+    models = []
+
+    class Recorded(CaptionModel):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            models.append(self)
+
+    monkeypatch.setattr(R, "CaptionModel", Recorded)
+    records, weights = [], {}
+
+    def log_cb(record):
+        records.append(record)
+        weights[record["epoch"]] = {k: p.data.copy()
+                                    for k, p in models[0].params.items()}
+
+    path = str(tmp_path / "checkpoint.bin")
+    epoch, val = R.train(_train_cfg(patience=0, max_epochs=50), samples,
+                         samples, VOCAB, store, path, log_cb=log_cb)
+    assert epoch < records[-1]["epoch"]
+    assert val == max(r["val_cider"] for r in records)
+    ckpt = R.load_checkpoint(path)
+    assert ckpt.epoch == epoch and ckpt.step == records[epoch - 1]["step"]
+    assert not all(np.array_equal(weights[epoch][k], p.data)
+                   for k, p in models[0].params.items())
+    for name, arr in weights[epoch].items():
+        assert np.array_equal(ckpt.params[name], arr), name
 
 
 def test_per_sample_backward_equals_summed_loss(tmp_path, monkeypatch):
@@ -549,7 +664,7 @@ def test_per_sample_backward_equals_summed_loss(tmp_path, monkeypatch):
 
     monkeypatch.setattr(T, "adam_step", capture)
     with pytest.raises(Captured):
-        R.train(cfg, samples, samples, VOCAB, store)
+        R.train(cfg, samples, samples, VOCAB, store, str(tmp_path / "m.bin"))
 
     model = CaptionModel(cfg.model, VOCAB, seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
@@ -698,7 +813,8 @@ def test_micro_batches_pack_consecutive_samples_under_the_bound(monkeypatch):
 def test_train_empty_sets_rejected(tmp_path):
     samples, store = _training_setup(tmp_path)
     with pytest.raises(ValueError):
-        R.train(_train_cfg(), [], samples, VOCAB, store)
+        R.train(_train_cfg(), [], samples, VOCAB, store,
+                str(tmp_path / "m.bin"))
 
 
 JSON_VALUES = st.recursive(
@@ -729,7 +845,8 @@ def test_train_log_written(tmp_path):
     samples, store = _training_setup(tmp_path)
     log_path = tmp_path / "log.jsonl"
     with open(log_path, "w") as fh:
-        R.train(_train_cfg(), samples, samples, VOCAB, store, log_fh=fh)
+        R.train(_train_cfg(), samples, samples, VOCAB, store,
+                str(tmp_path / "m.bin"), log_fh=fh)
     lines = [json.loads(l) for l in log_path.read_text().splitlines()]
     assert len(lines) == 3
     assert set(lines[0]) == {"epoch", "step", "loss", "val_cider", "lr"}
